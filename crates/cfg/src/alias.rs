@@ -20,9 +20,9 @@
 //!   loads read region *contents*, stores write them (tracking pointers
 //!   spilled through memory), and call/return edges copy argument
 //!   (`a0..a3`) and result (`v0`/`v1`) registers across procedures —
-//!   per-procedure constraint solving fans out over [`std::thread::scope`]
-//!   workers, iterating rounds against a frozen snapshot until the global
-//!   fixpoint;
+//!   solved by sequential sweeps over every procedure's constraints on
+//!   the live points-to state (programs here have hundreds of instructions, far
+//!   below where fanning the solve out over threads pays);
 //! * a per-memory-instruction [`MemAccess`] record — the set of regions
 //!   the access may touch (a [`BitSet`] over the region universe) and, for
 //!   absolute addressing, the exact address — from which
@@ -49,8 +49,6 @@
 //!   empty points-to set is assumed to reach every region.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use clfp_isa::{AluOp, Instr, Program, Reg, DATA_BASE};
 
@@ -288,16 +286,9 @@ enum Constraint {
     /// `pts(dst) ⊇ pts(src)` — pointer copy/arithmetic.
     Copy { dst: u8, src: u8 },
     /// `pts(dst) ⊇ contents(r)` for every region `r` of the site.
-    Load { dst: u8, site: MemSite },
+    Load { dst: u8, site: MemSite, top: bool },
     /// `contents(r) ⊇ pts(src)` for every region `r` of the site.
-    Store { src: u8, site: MemSite },
-}
-
-/// Per-round output of one procedure's local solve.
-struct ProcDelta {
-    proc: usize,
-    pts: Vec<BitSet>,
-    contents: Vec<(u32, BitSet)>,
+    Store { src: u8, site: MemSite, top: bool },
 }
 
 /// The complete interprocedural memory analysis for one program: region
@@ -323,8 +314,8 @@ pub struct AliasAnalysis {
 
 impl AliasAnalysis {
     /// Runs the analysis: region construction, call-graph recovery,
-    /// parallel Andersen solve, per-access classification, and scheduler
-    /// class merging.
+    /// sequential Andersen solve, per-access classification, and
+    /// scheduler class merging.
     pub fn analyze(program: &Program, cfg: &Cfg) -> AliasAnalysis {
         let universe = RegionUniverse::build(program, cfg);
         let call_graph = CallGraph::build(program, cfg);
@@ -332,11 +323,9 @@ impl AliasAnalysis {
         let procs = cfg.procs().len();
         let text = &program.text;
 
-        // Per-procedure constraint generation (embarrassingly parallel,
-        // fanned out with the solve rounds below).
-        let constraints: Vec<Vec<Constraint>> = par_map_procs(procs, |pi| {
-            gen_constraints(text, cfg, &universe, pi)
-        });
+        let constraints: Vec<Vec<Constraint>> = (0..procs)
+            .map(|pi| gen_constraints(text, cfg, &universe, pi))
+            .collect();
 
         // Interprocedural copy edges: callers' argument registers flow into
         // callees, callees' result registers flow back.
@@ -351,44 +340,7 @@ impl AliasAnalysis {
                 }
             }
         }
-
-        // Round-based parallel fixpoint: every round solves each
-        // procedure's constraints to a local fixpoint against a frozen
-        // snapshot of the global state, then merges the deltas. Monotone
-        // over finite sets, so it terminates.
-        let mut pts: Vec<BitSet> = (0..procs * 32).map(|_| BitSet::new(regions)).collect();
-        let mut contents: Vec<BitSet> = (0..regions).map(|_| BitSet::new(regions)).collect();
-        loop {
-            let deltas: Vec<ProcDelta> = {
-                let pts_snap = &pts;
-                let contents_snap = &contents;
-                let incoming = &incoming;
-                let constraints = &constraints;
-                let universe_ref = &universe;
-                par_map_procs(procs, move |pi| {
-                    solve_proc(
-                        pi,
-                        &constraints[pi],
-                        &incoming[pi],
-                        pts_snap,
-                        contents_snap,
-                        universe_ref,
-                    )
-                })
-            };
-            let mut changed = false;
-            for delta in deltas {
-                for (reg, set) in delta.pts.into_iter().enumerate() {
-                    changed |= pts[delta.proc * 32 + reg].union_with(&set);
-                }
-                for (region, set) in delta.contents {
-                    changed |= contents[region as usize].union_with(&set);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let (pts, contents) = solve(constraints, &incoming, &universe);
 
         // Per-instruction access records.
         let accesses: Vec<Option<MemAccess>> = text
@@ -406,7 +358,8 @@ impl AliasAnalysis {
                     base: base.index() as u8,
                     offset,
                 };
-                let (regions, unknown) = site_regions(&site, proc.index(), &pts, &universe);
+                let window = &pts[proc.index() * 32..][..32];
+                let (regions, unknown) = site_regions(&site, proc, window, &universe);
                 let exact_addr = (base == Reg::ZERO).then_some(offset as u32);
                 let touches_stack = regions.iter().any(|r| universe.is_stack(r as u32));
                 Some(MemAccess {
@@ -629,6 +582,7 @@ fn gen_constraints(
                             base: base.index() as u8,
                             offset,
                         },
+                        top: false,
                     });
                 }
                 Instr::Sw { rs, base, offset } if rs != Reg::ZERO => {
@@ -638,6 +592,7 @@ fn gen_constraints(
                             base: base.index() as u8,
                             offset,
                         },
+                        top: false,
                     });
                 }
                 _ => {}
@@ -647,12 +602,13 @@ fn gen_constraints(
     out
 }
 
-/// The regions one memory site may touch, against a points-to state.
-/// Returns the set and whether it fell back to top (unknown base).
+/// The regions one memory site of procedure `proc` may touch, given that
+/// procedure's 32 per-register points-to sets. Returns the set and whether
+/// it fell back to top (unknown base).
 fn site_regions(
     site: &MemSite,
-    proc: usize,
-    pts: &[BitSet],
+    proc: ProcId,
+    window: &[BitSet],
     universe: &RegionUniverse,
 ) -> (BitSet, bool) {
     let regions = universe.len();
@@ -665,10 +621,10 @@ fn site_regions(
     }
     if base == Reg::SP || base == Reg::FP {
         let mut set = BitSet::new(regions);
-        set.insert(universe.stack_region(ProcId(proc as u32)) as usize);
+        set.insert(universe.stack_region(proc) as usize);
         return (set, false);
     }
-    let mut set = pts[proc * 32 + base.index()].clone();
+    let mut set = window[base.index()].clone();
     if site.offset > 0 && site.offset as u32 >= DATA_BASE {
         // Scaled-index global addressing: the base register holds a small
         // scaled index and the displacement carries the data address
@@ -682,112 +638,108 @@ fn site_regions(
     (set, false)
 }
 
-/// Solves one procedure's constraints to a local fixpoint against frozen
-/// global state, returning the procedure's new points-to sets and its
-/// proposed region-contents additions.
-fn solve_proc(
-    pi: usize,
-    constraints: &[Constraint],
-    incoming: &[(usize, u8)],
-    pts_snap: &[BitSet],
-    contents_snap: &[BitSet],
+/// Solves every procedure's constraints to one global fixpoint by
+/// sequential sweeps over all procedures, each constraint applied to the
+/// live state. Returns the per-register points-to sets (`procs × 32`,
+/// procedure-major) and the per-region contents.
+///
+/// The unknown-pointer fallback is applied in strata so that the result
+/// does not depend on the order constraints are applied in. A load or
+/// store whose base set is still empty touches nothing. Once a sweep
+/// changes nothing, every site whose base is empty at that fixpoint is
+/// marked `top` and touches every region from then on, and the sweeps
+/// resume. Each stratum is a monotone system solved to its least
+/// fixpoint, and the marks depend only on that fixpoint.
+fn solve(
+    mut constraints: Vec<Vec<Constraint>>,
+    incoming: &[Vec<(usize, u8)>],
     universe: &RegionUniverse,
-) -> ProcDelta {
+) -> (Vec<BitSet>, Vec<BitSet>) {
     let regions = universe.len();
-    let mut local: Vec<BitSet> = pts_snap[pi * 32..(pi + 1) * 32].to_vec();
-    // Interprocedural in-edges read the frozen snapshot once per round.
-    for &(src_proc, reg) in incoming {
-        let set = pts_snap[src_proc * 32 + reg as usize].clone();
-        local[reg as usize].union_with(&set);
-    }
-    let mut delta: Vec<Option<BitSet>> = vec![None; regions];
+    let procs = constraints.len();
+    let mut pts: Vec<BitSet> = (0..procs * 32).map(|_| BitSet::new(regions)).collect();
+    let mut contents: Vec<BitSet> = (0..regions).map(|_| BitSet::new(regions)).collect();
+    // The regions a load/store touches mid-solve: all of them once marked
+    // `top`, none while its base is empty and unmarked.
+    let touched = |site: &MemSite, top: bool, pi: usize, window: &[BitSet]| {
+        if top {
+            return Some(BitSet::full(regions));
+        }
+        let (set, unknown) = site_regions(site, ProcId(pi as u32), window, universe);
+        (!unknown).then_some(set)
+    };
     loop {
         let mut changed = false;
-        for constraint in constraints {
-            match *constraint {
-                Constraint::Seed { dst, region } => {
-                    changed |= local[dst as usize].insert(region as usize);
-                }
-                Constraint::Copy { dst, src } => {
-                    let set = local[src as usize].clone();
-                    changed |= local[dst as usize].union_with(&set);
-                }
-                Constraint::Load { dst, site } => {
-                    let (touched, _) = site_regions(&site, pi, &snapshot_view(pts_snap, pi, &local), universe);
-                    for region in touched.iter() {
-                        changed |= local[dst as usize].union_with(&contents_snap[region]);
+        for (pi, list) in constraints.iter().enumerate() {
+            let base = pi * 32;
+            for &(src, reg) in &incoming[pi] {
+                changed |= union_into(&mut pts, base + reg as usize, src * 32 + reg as usize);
+            }
+            for constraint in list {
+                match *constraint {
+                    Constraint::Seed { dst, region } => {
+                        changed |= pts[base + dst as usize].insert(region as usize);
+                    }
+                    Constraint::Copy { dst, src } => {
+                        changed |= union_into(&mut pts, base + dst as usize, base + src as usize);
+                    }
+                    Constraint::Load { dst, site, top } => {
+                        let Some(set) = touched(&site, top, pi, &pts[base..base + 32]) else {
+                            continue;
+                        };
+                        for region in set.iter() {
+                            changed |= pts[base + dst as usize].union_with(&contents[region]);
+                        }
+                    }
+                    Constraint::Store { src, site, top } => {
+                        let window = &pts[base..base + 32];
+                        let Some(set) = touched(&site, top, pi, window) else {
+                            continue;
+                        };
+                        for region in set.iter() {
+                            changed |= contents[region].union_with(&window[src as usize]);
+                        }
                     }
                 }
-                Constraint::Store { src, site } => {
-                    let (touched, _) = site_regions(&site, pi, &snapshot_view(pts_snap, pi, &local), universe);
-                    for region in touched.iter() {
-                        let slot =
-                            delta[region].get_or_insert_with(|| BitSet::new(regions));
-                        changed |= slot.union_with(&local[src as usize]);
+            }
+        }
+        if changed {
+            continue;
+        }
+        // Next stratum: mark the sites whose base is still empty.
+        for (pi, list) in constraints.iter_mut().enumerate() {
+            let window = &pts[pi * 32..(pi + 1) * 32];
+            for constraint in list {
+                if let Constraint::Load { site, top, .. } | Constraint::Store { site, top, .. } =
+                    constraint
+                {
+                    if !*top && site_regions(site, ProcId(pi as u32), window, universe).1 {
+                        *top = true;
+                        changed = true;
                     }
                 }
             }
         }
         if !changed {
-            break;
+            return (pts, contents);
         }
-    }
-    ProcDelta {
-        proc: pi,
-        pts: local,
-        contents: delta
-            .into_iter()
-            .enumerate()
-            .filter_map(|(region, set)| set.map(|set| (region as u32, set)))
-            .collect(),
     }
 }
 
-/// Builds the register view `site_regions` reads for procedure `pi`:
-/// the evolving local sets spliced over the frozen snapshot. Cheap — it
-/// clones only the 32 per-register sets of one procedure.
-fn snapshot_view(pts_snap: &[BitSet], pi: usize, local: &[BitSet]) -> Vec<BitSet> {
-    // `site_regions` indexes `pts[pi * 32 + reg]`; hand it a slice whose
-    // window for `pi` is the local state. Procedures only read their own
-    // window, so splice just that.
-    let mut view = pts_snap.to_vec();
-    view[pi * 32..(pi + 1) * 32].clone_from_slice(local);
-    view
-}
-
-/// Claims procedure indices off an atomic counter across scoped workers —
-/// the same fan-out shape as the benchmark suite's pool. Falls back to a
-/// plain loop when one worker suffices.
-fn par_map_procs<T, F>(procs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(procs);
-    if workers <= 1 {
-        return (0..procs).map(f).collect();
+/// `sets[dst] ∪= sets[src]` without cloning the source; returns whether
+/// `sets[dst]` changed.
+fn union_into(sets: &mut [BitSet], dst: usize, src: usize) -> bool {
+    if dst == src {
+        return false;
     }
-    let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<Option<T>>> = Mutex::new((0..procs).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let pi = next.fetch_add(1, Ordering::Relaxed);
-                if pi >= procs {
-                    break;
-                }
-                let result = f(pi);
-                out.lock().unwrap()[pi] = Some(result);
-            });
-        }
-    });
-    out.into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|slot| slot.expect("every procedure solved"))
-        .collect()
+    let (into, from) = if dst < src {
+        let (low, high) = sets.split_at_mut(src);
+        (&mut low[dst], &high[0])
+    } else {
+        let (low, high) = sets.split_at_mut(dst);
+        (&mut high[0], &low[src])
+    };
+    into.union_with(from)
 }
 
 /// Minimal union-find over region indices.
@@ -965,16 +917,27 @@ mod tests {
             r#"
             .data
             g: .space 16
+            buf: .space 16
+            other: .space 16
             .text
             main:
                 lw r8, 0(r9)       # pc 0: r9 never defined — unknown base
                 sw r10, 0x1000(r0) # pc 1: g
+                li r11, buf        # pc 2
+                sw r11, 0(r9)      # pc 3: &buf may land anywhere
+                lw r12, 0x1000(r0) # pc 4: so g may hold &buf
+                sw r13, 0(r12)     # pc 5: store through the reloaded pointer
+                lw r14, 0x1020(r0) # pc 6: other
                 halt
             "#,
         );
         let access = alias.accesses[0].as_ref().unwrap();
         assert!(access.unknown);
         assert_eq!(alias.classify(0, 1), Some(AliasKind::May));
+        assert!(alias.accesses[3].as_ref().unwrap().unknown);
+        let access = alias.accesses[5].as_ref().unwrap();
+        assert!(!access.unknown, "the pointer read back from g must be tracked");
+        assert_eq!(alias.classify(5, 6), Some(AliasKind::No));
     }
 
     #[test]
@@ -1039,6 +1002,53 @@ mod tests {
             "#,
         );
         assert_eq!(alias2.classify(1, 4), Some(AliasKind::May));
+    }
+
+    #[test]
+    fn frame_pointer_accesses_stay_in_their_own_procedure() {
+        // Frame-pointer sites resolve to the stack region of the procedure
+        // they sit in. A solver that hands out only a 32-register window
+        // must still pass that procedure's index, not the window's (0).
+        let (_, cfg, alias) = analyze(
+            r#"
+            .data
+            slot: .space 4
+            buf: .space 16
+            .text
+            main:
+                li r13, buf        # pc 0
+                sw r13, 8(fp)      # pc 1: main's frame holds &buf
+                call f             # pc 2
+                lw r12, 8(fp)      # pc 3: reload &buf
+                sw r8, 0(r12)      # pc 4: reaches buf only
+                halt
+            f:
+                sw r8, 4(fp)       # pc 6: through FP
+                addi r9, fp, 8     # pc 7: pointer copied from FP
+                add r10, r9, r0    # pc 8: copy of the copy
+                sw r8, 0(r10)      # pc 9: through the copied pointer
+                sw r9, 4(fp)       # pc 10: f's frame holds its own address
+                sw r9, 0x1000(r0)  # pc 11: the frame address escapes
+                ret
+            "#,
+        );
+        let main = alias.universe.stack_region(cfg.proc_of_instr(0));
+        let f = cfg.proc_of_instr(6);
+        assert!(f.index() > 0, "the callee must not be procedure 0");
+        let f = alias.universe.stack_region(f);
+        let only = |pc: usize, region: u32| {
+            let access = alias.accesses[pc].as_ref().unwrap();
+            assert!(!access.unknown, "pc {pc} must be tracked");
+            let regions: Vec<usize> = access.regions.iter().collect();
+            assert_eq!(regions, vec![region as usize], "pc {pc}");
+        };
+        only(1, main);
+        only(4, alias.universe.region_of_addr(DATA_BASE + 4));
+        for pc in [6, 9, 10] {
+            only(pc, f);
+        }
+        assert!(alias.escaping.contains(f as usize));
+        assert!(!alias.escaping.contains(main as usize));
     }
 
     #[test]

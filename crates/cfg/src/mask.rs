@@ -103,14 +103,17 @@ pub struct StaticInfo {
 }
 
 impl StaticInfo {
-    /// Runs all static analyses on a program.
+    /// Runs all static analyses on a program, each inside its own
+    /// `static.*` span (recorded only while tracing is on).
     pub fn analyze(program: &Program) -> StaticInfo {
-        let cfg = Cfg::build(program);
-        let deps = ControlDeps::compute(&cfg);
-        let loops = LoopForest::find(&cfg);
-        let induction = InductionInfo::analyze(program, &cfg, &loops);
-        let masks = IgnoreMasks::from_parts(program, &induction);
-        let alias = AliasAnalysis::analyze(program, &cfg);
+        let cfg = in_span("static.cfg", || Cfg::build(program));
+        let deps = in_span("static.controldep", || ControlDeps::compute(&cfg));
+        let loops = in_span("static.loops", || LoopForest::find(&cfg));
+        let induction = in_span("static.induction", || {
+            InductionInfo::analyze(program, &cfg, &loops)
+        });
+        let masks = in_span("static.masks", || IgnoreMasks::from_parts(program, &induction));
+        let alias = in_span("static.alias", || AliasAnalysis::analyze(program, &cfg));
         StaticInfo {
             cfg,
             deps,
@@ -120,6 +123,12 @@ impl StaticInfo {
             alias,
         }
     }
+}
+
+/// Runs one static pass inside a span of its own.
+fn in_span<T>(name: &'static str, pass: impl FnOnce() -> T) -> T {
+    let _span = clfp_metrics::trace::span(name, "static");
+    pass()
 }
 
 #[cfg(test)]

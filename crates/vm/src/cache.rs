@@ -41,6 +41,9 @@ use crate::{Trace, TraceEvent, TraceSource, Vm, VmError, VmOptions};
 const MAGIC: &[u8; 8] = b"CLFPCCH1";
 const HEADER_LEN: u64 = 44;
 const RECORD_LEN: u64 = 13;
+/// Records per block when [`FileTraceSource::load_trace`] reads a whole
+/// file: a 53 KB buffer, reused for every block.
+const LOAD_BLOCK_EVENTS: usize = 4096;
 
 /// Version of the event record layout stored in cache files (the CLFPTRC2
 /// 13-byte record). Part of the cache key: bumping it invalidates every
@@ -168,27 +171,39 @@ impl FileTraceSource {
     /// Propagates I/O errors; the header was validated at open, so a
     /// failure here means the file changed underneath us.
     pub fn load_trace(&self) -> io::Result<Trace> {
-        let file = fs::File::open(&self.path)?;
-        let mut reader = BufReader::new(file);
+        let mut events = Vec::with_capacity((self.events as usize).min(1 << 24));
+        self.read_blocks(LOAD_BLOCK_EVENTS, &mut |raw| events.extend(decode_records(raw)))?;
+        Ok(Trace::from_events(events))
+    }
+
+    /// Reads the records after the header in blocks of at most
+    /// `block_events`, handing each block's raw bytes to `sink` from one
+    /// reused buffer.
+    fn read_blocks(&self, block_events: usize, sink: &mut dyn FnMut(&[u8])) -> io::Result<()> {
+        let mut reader = BufReader::with_capacity(1 << 16, fs::File::open(&self.path)?);
         let mut header = [0u8; HEADER_LEN as usize];
         reader.read_exact(&mut header)?;
-        let mut events = Vec::with_capacity((self.events as usize).min(1 << 24));
-        let mut record = [0u8; RECORD_LEN as usize];
-        for _ in 0..self.events {
-            reader.read_exact(&mut record)?;
-            events.push(decode_record(&record));
+        let mut bytes = vec![0u8; block_events * RECORD_LEN as usize];
+        let mut remaining = self.events;
+        while remaining > 0 {
+            let take = (remaining as usize).min(block_events);
+            let raw = &mut bytes[..take * RECORD_LEN as usize];
+            reader.read_exact(raw)?;
+            sink(raw);
+            remaining -= take as u64;
         }
-        Ok(Trace::from_events(events))
+        Ok(())
     }
 }
 
-fn decode_record(record: &[u8; RECORD_LEN as usize]) -> TraceEvent {
-    TraceEvent {
+/// Decodes a block of whole 13-byte records.
+fn decode_records(raw: &[u8]) -> impl Iterator<Item = TraceEvent> + '_ {
+    raw.chunks_exact(RECORD_LEN as usize).map(|record| TraceEvent {
         pc: u32::from_le_bytes(record[0..4].try_into().expect("4 bytes")),
         mem_addr: u32::from_le_bytes(record[4..8].try_into().expect("4 bytes")),
         value: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
         taken: record[12] != 0,
-    }
+    })
 }
 
 impl TraceSource for FileTraceSource {
@@ -198,29 +213,16 @@ impl TraceSource for FileTraceSource {
         sink: &mut dyn FnMut(&[TraceEvent]),
     ) -> Result<(), VmError> {
         assert!(chunk_events > 0, "chunk size must be non-zero");
+        let mut buf: Vec<TraceEvent> = Vec::with_capacity(chunk_events);
         // The header (including length) was validated when this source was
         // handed out; a failure now means the file was modified while in
         // use, which the cache does not support.
-        let file = fs::File::open(&self.path).expect("cache file disappeared while in use");
-        let mut reader = BufReader::with_capacity(1 << 16, file);
-        let mut header = [0u8; HEADER_LEN as usize];
-        reader
-            .read_exact(&mut header)
-            .expect("cache file changed while in use");
-        let mut buf: Vec<TraceEvent> = Vec::with_capacity(chunk_events);
-        let mut bytes = vec![0u8; chunk_events * RECORD_LEN as usize];
-        let mut remaining = self.events;
-        while remaining > 0 {
-            let take = (remaining as usize).min(chunk_events);
-            let raw = &mut bytes[..take * RECORD_LEN as usize];
-            reader.read_exact(raw).expect("cache file changed while in use");
+        self.read_blocks(chunk_events, &mut |raw| {
             buf.clear();
-            for record in raw.chunks_exact(RECORD_LEN as usize) {
-                buf.push(decode_record(record.try_into().expect("13 bytes")));
-            }
+            buf.extend(decode_records(raw));
             sink(&buf);
-            remaining -= take as u64;
-        }
+        })
+        .expect("cache file changed while in use");
         Ok(())
     }
 
@@ -511,6 +513,21 @@ mod tests {
                 assert_eq!(size, chunk, "all but the last chunk must be full");
             }
         }
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn load_trace_spans_several_blocks() {
+        let cache = temp_cache("blocks");
+        let program = assemble(&LOOP.replace("li r8, 9", "li r8, 3000")).unwrap();
+        let trace = Vm::new(&program, VmOptions::default()).trace(100_000).unwrap();
+        assert!(trace.len() > 2 * LOAD_BLOCK_EVENTS, "the trace must cover several blocks");
+        let source = cache.store(&program, 100_000, &trace).unwrap();
+        assert_eq!(source.load_trace().unwrap().events(), trace.events());
+        // A file that vanishes after lookup is an I/O error, which `ensure`
+        // answers by re-executing.
+        std::fs::remove_file(source.path()).unwrap();
+        assert!(source.load_trace().is_err());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
