@@ -296,9 +296,11 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// recording metrics sink, returning per-machine execution metrics:
     /// cycle-occupancy histograms, critical-path attribution, and
     /// binding-edge counters (see `clfp-metrics`). The machines run
-    /// sequentially — unlike [`PreparedTrace::report`] this path is for
-    /// offline diagnosis, not throughput; its results re-derive the
-    /// report's cycle and instruction counts exactly (asserted in the
+    /// through the lane kernel in recording groups of at most four lanes
+    /// (the control-dependence machines, then the rest), one group after
+    /// the other, so at most four collectors (5 bytes per event each) are
+    /// live at once. The results re-derive the report's cycle and
+    /// instruction counts exactly (asserted in the
     /// `recording_sink_does_not_perturb_results` test).
     pub fn machine_metrics(&self) -> Vec<(MachineKind, clfp_metrics::MachineMetrics)> {
         self.machine_metrics_with_unrolling(self.config.unrolling)
@@ -311,43 +313,37 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         &self,
         unrolling: bool,
     ) -> Vec<(MachineKind, clfp_metrics::MachineMetrics)> {
-        use clfp_metrics::MetricsCollector;
-
         let analyzer = self.analyzer;
-        let class = self.meta.class(unrolling);
-        let pass_config = PassConfig::from_analysis(&self.config);
-        let mut state = crate::fused::MachineState::with_mem_capacity(
+        let events = &self.meta.events;
+        let recorded = crate::lane::record_metrics(
+            &self.config.machines,
+            unrolling,
             analyzer.program.text.len(),
+            &PassConfig::from_analysis(&self.config),
             self.mem_capacity(),
-        );
-        self.config
-            .machines
-            .iter()
-            .map(|&kind| {
-                state.clear();
-                let mut collector = MetricsCollector::with_capacity(self.meta.events.len());
-                crate::fused::run_machine(
+            events.len(),
+            |group| {
+                group.feed(
                     &analyzer.meta,
-                    &self.meta.events,
-                    class,
-                    &pass_config,
-                    kind,
-                    &mut state,
-                    &mut collector,
+                    0,
+                    events,
+                    self.meta.class(true),
+                    self.meta.class(false),
                 );
-                (kind, collector.finish())
-            })
-            .collect()
+                Ok::<(), std::convert::Infallible>(())
+            },
+        );
+        let Ok(metrics) = recorded;
+        metrics
     }
 
     /// Per-machine execution metrics for every requested (disambiguation,
     /// value-prediction) mode at one unroll setting — the diagnostic
     /// companion of [`PreparedTrace::report_mode_matrix`], which runs the
     /// lane kernel with the null sink and so cannot attribute anything.
-    /// Each mode runs the scalar recording path over its
-    /// [`PreparedTrace::slice_modes`] slice: metrics collection stays
-    /// machine-major (one collector live at a time), and the re-derived
-    /// cycle counts are pinned bit-identical to the matrix walk's by the
+    /// Each mode runs the lane kernel's recording groups over its
+    /// [`PreparedTrace::slice_modes`] slice, one mode after the other, and
+    /// the re-derived cycle counts are pinned bit-identical to the matrix walk's by the
     /// `mode_matrix_metrics_match_matrix_cycles` test, so the attribution
     /// describes exactly the schedules the matrix reports.
     ///
@@ -1176,7 +1172,7 @@ mod tests {
         }
     }
 
-    // The matrix metrics path (scalar recording sink over per-mode
+    // The matrix metrics path (recording lane groups over per-mode
     // slices) must describe exactly the schedules the one-walk lane
     // matrix reports: same machines, same cycle and instruction counts,
     // for every mode cell — otherwise the attribution tables would

@@ -25,17 +25,19 @@
 //! the host has cores to spare — fanning machines out over a scoped
 //! worker pool (the same `std::thread::scope` pattern as the benchmark
 //! suite; machine passes share only immutable data).
+//!
+//! The production scheduler is the lane kernel ([`lane`](crate::lane)),
+//! which also records metrics. This scalar walk has no metrics sink; it
+//! stays only as a second, machine-at-a-time oracle for the lane kernel's
+//! schedules ([`PreparedTrace::report_with_unrolling_scalar`](crate::PreparedTrace::report_with_unrolling_scalar)).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use clfp_metrics::{BindingEdge, EdgeKind, MetricsSink, NullSink, NO_PARENT};
-
 use crate::lastwrite::LastWriteTable;
 use crate::meta::{
     EventClass, EventMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED, EV_VALPRED,
-    NO_REG,
-    PC_CALL, PC_LOAD, PC_RET, PC_STORE,
+    NO_REG, PC_CALL, PC_LOAD, PC_RET, PC_STORE,
 };
 use crate::pass::{PassConfig, PassResult};
 use crate::stats::MispredictionStats;
@@ -61,12 +63,8 @@ pub(crate) struct MachineState {
 }
 
 impl MachineState {
-    pub fn new(text_len: usize) -> MachineState {
-        MachineState::with_mem_capacity(text_len, crate::lane::DEFAULT_MEM_CAPACITY)
-    }
-
-    /// Like [`MachineState::new`], with the last-write tables sized for
-    /// `mem_capacity` distinct keys — pass the trace's measured
+    /// A fresh state with the last-write tables sized for `mem_capacity`
+    /// distinct keys — pass the trace's measured
     /// `distinct_mem_keys` (or a summary's `distinct_mem_words`) to avoid
     /// rehash/grow churn on memory-heavy workloads.
     pub fn with_mem_capacity(text_len: usize, mem_capacity: usize) -> MachineState {
@@ -106,156 +104,31 @@ impl MachineState {
     }
 }
 
-/// Producer-event bookkeeping for the metrics sink: every timing table in
-/// [`MachineState`] has a shadow here recording *which trace event* wrote
-/// the time, so the binding edge of each scheduled instruction can name
-/// its parent. Allocated (and maintained) only when `S::ENABLED`.
-struct AttrState {
-    /// Event index of the last writer of each register ([`NO_PARENT`] if
-    /// the register is untouched).
-    reg_writer: [u32; 32],
-    /// Event index + 1 of the last store to each memory key (0 = none);
-    /// reuses [`LastWriteTable`] so lookups match `mem_time` exactly.
-    mem_writer: LastWriteTable,
-    /// Shadows `branch_time` / `branch_ceiling`: the event whose time is
-    /// recorded there (inherited parents propagate through ignored
-    /// branches the same way the times do).
-    branch_time_ev: Vec<u32>,
-    branch_ceiling_ev: Vec<u32>,
-    /// Shadows the inherited-dependence call stack.
-    stack_ev: Vec<(u32, u32)>,
-    last_branch_ev: u32,
-    last_mispred_ev: u32,
-}
-
-impl AttrState {
-    fn new(text_len: usize) -> AttrState {
-        AttrState {
-            reg_writer: [NO_PARENT; 32],
-            mem_writer: LastWriteTable::with_capacity(1 << 16),
-            branch_time_ev: vec![NO_PARENT; text_len],
-            branch_ceiling_ev: vec![NO_PARENT; text_len],
-            stack_ev: Vec::new(),
-            last_branch_ev: NO_PARENT,
-            last_mispred_ev: NO_PARENT,
-        }
-    }
-
-    /// Mirror of [`MachineState::cd_ctx`] over parent event indices.
-    fn cd_parents(&self, cd: u32) -> (u32, u32) {
-        match cd {
-            CD_NONE => (NO_PARENT, NO_PARENT),
-            CD_INHERIT => self.stack_ev.last().copied().unwrap_or((NO_PARENT, NO_PARENT)),
-            pc => (
-                self.branch_time_ev[pc as usize],
-                self.branch_ceiling_ev[pc as usize],
-            ),
-        }
-    }
-
-    fn mem_writer_of(&self, key: u32) -> u32 {
-        match self.mem_writer.get(key) {
-            0 => NO_PARENT,
-            idx_plus_one => (idx_plus_one - 1) as u32,
-        }
-    }
-}
-
-/// Folds one constraint term into a running `(value, edge)` maximum with
-/// the scheduler's tie-breaking: `a.max(b)` returns `b` on equality, so a
-/// later term wins ties. A term of 0 can only "win" against 0, and the
-/// caller reports no edge when the final maximum is 0 (ready at cycle 0).
-#[inline]
-fn fold_term(value: &mut u64, edge: &mut Option<BindingEdge>, term: u64, term_edge: Option<BindingEdge>) {
-    if term >= *value {
-        *value = term;
-        *edge = term_edge;
-    }
-}
-
-/// One machine's scheduling walk as an incremental, chunk-fed cursor.
-///
-/// The walk state that is *not* in [`MachineState`] — the running
-/// last-branch/last-misprediction times, cycle and instruction counters,
-/// SP segment statistics, the metrics shadow tables, and the global event
-/// index — lives here so the walk can be fed chunk by chunk: the streaming
-/// pipeline creates one cursor (plus one [`MachineState`]) per machine ×
-/// unroll setting and feeds every chunk to all of them. Feeding the whole
-/// trace as one chunk is exactly the historical single-shot walk
-/// ([`run_machine`] is that wrapper), so the chunked and in-memory
-/// schedules are the same code path — bit-identical by construction.
-pub(crate) struct MachineCursor {
+/// One machine pass over a pre-decoded trace. Bit-for-bit equivalent to
+/// [`run_pass`](crate::pass::run_pass) on the same classification (the
+/// `fused_equivalence` integration suite holds this across every machine,
+/// workload, and unroll setting).
+pub(crate) fn run_machine(
+    pcs: &ProgramMeta,
+    events: &[EventMeta],
+    class: &EventClass,
+    config: &PassConfig,
     kind: MachineKind,
-    uses_cd: bool,
-    track_segments: bool,
-    last_branch: u64,
-    last_mispred: u64,
-    cycles: u64,
-    count: u64,
-    stats: MispredictionStats,
-    seg_count: u64,
-    seg_start: u64,
-    seg_max: u64,
-    attr: Option<AttrState>,
-    /// Global index of the next event fed — sink and attribution indices
-    /// are global across chunks, matching the single-shot walk.
-    base: u64,
-}
+    state: &mut MachineState,
+) -> PassResult {
+    debug_assert!(events.len() <= class.len());
+    let uses_cd = kind.uses_control_deps();
+    let track_segments = kind == MachineKind::Sp;
+    let mut last_branch = 0u64;
+    let mut last_mispred = 0u64;
+    let mut cycles = 0u64;
+    let mut count = 0u64;
+    let mut stats = MispredictionStats::new();
+    let mut seg_count = 0u64;
+    let mut seg_start = 0u64;
+    let mut seg_max = 0u64;
 
-impl MachineCursor {
-    /// A fresh cursor for one machine walk. `record_attr` must equal the
-    /// `S::ENABLED` of every sink later passed to [`MachineCursor::feed`].
-    pub fn new(kind: MachineKind, text_len: usize, record_attr: bool) -> MachineCursor {
-        MachineCursor {
-            kind,
-            uses_cd: kind.uses_control_deps(),
-            track_segments: kind == MachineKind::Sp,
-            last_branch: 0,
-            last_mispred: 0,
-            cycles: 0,
-            count: 0,
-            stats: MispredictionStats::new(),
-            seg_count: 0,
-            seg_start: 0,
-            seg_max: 0,
-            attr: record_attr.then(|| AttrState::new(text_len)),
-            base: 0,
-        }
-    }
-
-    /// Schedules one chunk of consecutive events. `class` indexes the
-    /// *chunk* (entry `j` classifies `events[j]`); `state` must be the
-    /// same [`MachineState`] across every feed of this cursor.
-    pub fn feed<S: MetricsSink>(
-        &mut self,
-        pcs: &ProgramMeta,
-        events: &[EventMeta],
-        class: &EventClass,
-        config: &PassConfig,
-        state: &mut MachineState,
-        sink: &mut S,
-    ) {
-        debug_assert_eq!(S::ENABLED, self.attr.is_some());
-        debug_assert!(events.len() <= class.len());
-        let kind = self.kind;
-        let uses_cd = self.uses_cd;
-        let track_segments = self.track_segments;
-        let base = self.base;
-
-        // Hot-loop state in locals (written back on exit), so the chunked
-        // walk compiles to the same inner loop as the single-shot one.
-        let mut last_branch = self.last_branch;
-        let mut last_mispred = self.last_mispred;
-        let mut cycles = self.cycles;
-        let mut count = self.count;
-        let stats = &mut self.stats;
-        let mut seg_count = self.seg_count;
-        let mut seg_start = self.seg_start;
-        let mut seg_max = self.seg_max;
-        let attr = &mut self.attr;
-
-        for (j, event) in events.iter().enumerate() {
-            let i = base + j as u64;
+    for (j, event) in events.iter().enumerate() {
         let meta = &pcs.pcs[event.pc as usize];
         let ignored = class.ignored(j);
         let is_branch = event.flags & EV_BRANCH != 0;
@@ -265,11 +138,6 @@ impl MachineCursor {
             state.cd_ctx(event.cd)
         } else {
             (0, 0)
-        };
-        let cd_p = if S::ENABLED && uses_cd {
-            attr.as_ref().unwrap().cd_parents(event.cd)
-        } else {
-            (NO_PARENT, NO_PARENT)
         };
 
         // Machine-specific control constraint.
@@ -320,125 +188,6 @@ impl MachineCursor {
             }
             exec = data.max(ctl) + 1;
             let done = exec + meta.latency as u64 - 1;
-            if S::ENABLED {
-                // Replay the constraint fold above with the same term
-                // order and tie-breaking, tracking which term won and
-                // which event produced it. Runs before any state update,
-                // so every table still holds the values the fold read.
-                let a = attr.as_ref().unwrap();
-                let (mut ctl_v, mut ctl_e) = match kind {
-                    MachineKind::Base => (
-                        last_branch,
-                        Some(BindingEdge::new(EdgeKind::Control, a.last_branch_ev)),
-                    ),
-                    MachineKind::Cd | MachineKind::CdMf => {
-                        (cd.0, Some(BindingEdge::new(EdgeKind::Control, cd_p.0)))
-                    }
-                    MachineKind::Sp => (
-                        last_mispred,
-                        Some(BindingEdge::new(EdgeKind::Control, a.last_mispred_ev)),
-                    ),
-                    MachineKind::SpCd | MachineKind::SpCdMf => {
-                        (cd.1, Some(BindingEdge::new(EdgeKind::Control, cd_p.1)))
-                    }
-                    MachineKind::Oracle => (0, None),
-                };
-                if is_branch {
-                    match kind {
-                        MachineKind::Cd => fold_term(
-                            &mut ctl_v,
-                            &mut ctl_e,
-                            last_branch,
-                            Some(BindingEdge::new(EdgeKind::MfMerge, a.last_branch_ev)),
-                        ),
-                        MachineKind::SpCd if mispredicted => fold_term(
-                            &mut ctl_v,
-                            &mut ctl_e,
-                            last_mispred,
-                            Some(BindingEdge::new(EdgeKind::MfMerge, a.last_mispred_ev)),
-                        ),
-                        _ => {}
-                    }
-                }
-                if let Some(width) = config.fetch_bandwidth {
-                    // Fetch bandwidth has no single producer event.
-                    fold_term(&mut ctl_v, &mut ctl_e, count / width, None);
-                }
-                let mut data_v = 0u64;
-                let mut data_e: Option<BindingEdge> = None;
-                for &reg in &meta.uses {
-                    if reg == NO_REG {
-                        break;
-                    }
-                    fold_term(
-                        &mut data_v,
-                        &mut data_e,
-                        state.reg_time[reg as usize],
-                        Some(BindingEdge::new(
-                            EdgeKind::RegData,
-                            a.reg_writer[reg as usize],
-                        )),
-                    );
-                }
-                if is_load {
-                    fold_term(
-                        &mut data_v,
-                        &mut data_e,
-                        state.mem_time.get(event.mem_key),
-                        Some(BindingEdge::new(
-                            EdgeKind::MemData,
-                            a.mem_writer_of(event.mem_key),
-                        )),
-                    );
-                }
-                if !config.rename {
-                    if meta.def != NO_REG {
-                        // Anti-dependences: the binding reader event is
-                        // not tracked, only the dependence kind.
-                        fold_term(
-                            &mut data_v,
-                            &mut data_e,
-                            state.reg_read[meta.def as usize],
-                            Some(BindingEdge::new(EdgeKind::RegData, NO_PARENT)),
-                        );
-                        fold_term(
-                            &mut data_v,
-                            &mut data_e,
-                            state.reg_time[meta.def as usize],
-                            Some(BindingEdge::new(
-                                EdgeKind::RegData,
-                                a.reg_writer[meta.def as usize],
-                            )),
-                        );
-                    }
-                    if is_store {
-                        fold_term(
-                            &mut data_v,
-                            &mut data_e,
-                            state.mem_read.get(event.mem_key),
-                            Some(BindingEdge::new(EdgeKind::MemData, NO_PARENT)),
-                        );
-                        fold_term(
-                            &mut data_v,
-                            &mut data_e,
-                            state.mem_time.get(event.mem_key),
-                            Some(BindingEdge::new(
-                                EdgeKind::MemData,
-                                a.mem_writer_of(event.mem_key),
-                            )),
-                        );
-                    }
-                }
-                debug_assert_eq!(data_v.max(ctl_v) + 1, exec);
-                // `data.max(ctl)`: ctl wins the final tie; a maximum of 0
-                // means ready at cycle 0 — nothing bound.
-                let (bind_v, bind_e) = if ctl_v >= data_v {
-                    (ctl_v, ctl_e)
-                } else {
-                    (data_v, data_e)
-                };
-                sink.on_schedule(i as u32, exec, done, if bind_v == 0 { None } else { bind_e });
-            }
             count += 1;
             cycles = cycles.max(done);
             if meta.def != NO_REG {
@@ -455,19 +204,10 @@ impl MachineCursor {
             if is_store {
                 let prev = state.mem_time.get(event.mem_key);
                 let accumulate = config.disambiguation.accumulates();
-                state.mem_time.set(event.mem_key, if accumulate { prev.max(done) } else { done });
-                // A store that did not advance the accumulated maximum
-                // does not own the table value, so it is never the
-                // binding writer for attribution.
-                if S::ENABLED && (!accumulate || done >= prev) {
-                    attr.as_mut().unwrap().mem_writer.set(event.mem_key, i + 1);
-                }
-            }
-            if S::ENABLED {
-                let a = attr.as_mut().unwrap();
-                if meta.def != NO_REG {
-                    a.reg_writer[meta.def as usize] = i as u32;
-                }
+                state.mem_time.set(
+                    event.mem_key,
+                    if accumulate { prev.max(done) } else { done },
+                );
             }
             if !config.rename {
                 for &reg in &meta.uses {
@@ -483,23 +223,12 @@ impl MachineCursor {
             }
         }
 
-        if S::ENABLED && ignored {
-            sink.on_schedule(i as u32, 0, 0, None);
-        }
-
         // Tracker updates.
         if is_branch {
             if !ignored {
                 last_branch = exec;
                 if mispredicted {
                     last_mispred = exec;
-                }
-                if S::ENABLED {
-                    let a = attr.as_mut().unwrap();
-                    a.last_branch_ev = i as u32;
-                    if mispredicted {
-                        a.last_mispred_ev = i as u32;
-                    }
                 }
             }
             if uses_cd {
@@ -514,29 +243,13 @@ impl MachineCursor {
                     state.branch_time[pc] = exec;
                     state.branch_ceiling[pc] = if mispredicted { exec } else { cd.1 };
                 }
-                if S::ENABLED {
-                    let a = attr.as_mut().unwrap();
-                    if ignored {
-                        a.branch_time_ev[pc] = cd_p.0;
-                        a.branch_ceiling_ev[pc] = cd_p.1;
-                    } else {
-                        a.branch_time_ev[pc] = i as u32;
-                        a.branch_ceiling_ev[pc] = if mispredicted { i as u32 } else { cd_p.1 };
-                    }
-                }
             }
         }
         if uses_cd {
             if meta.is(PC_CALL) {
                 state.stack.push(cd);
-                if S::ENABLED {
-                    attr.as_mut().unwrap().stack_ev.push(cd_p);
-                }
             } else if meta.is(PC_RET) {
                 state.stack.pop();
-                if S::ENABLED {
-                    attr.as_mut().unwrap().stack_ev.pop();
-                }
             }
         }
 
@@ -555,60 +268,20 @@ impl MachineCursor {
                 seg_max = exec;
             }
         }
-        }
-
-        self.last_branch = last_branch;
-        self.last_mispred = last_mispred;
-        self.cycles = cycles;
-        self.count = count;
-        self.seg_count = seg_count;
-        self.seg_start = seg_start;
-        self.seg_max = seg_max;
-        self.base = base + events.len() as u64;
     }
 
-    /// Closes the walk: records the trailing SP segment (the single-shot
-    /// walk's post-loop step) and returns the pass result.
-    pub fn finish(mut self) -> PassResult {
-        if self.track_segments && self.seg_count > 0 {
-            let span = self.seg_max.saturating_sub(self.seg_start).max(1);
-            self.stats.record_segment(
-                self.seg_count.min(u32::MAX as u64) as u32,
-                self.seg_count as f64 / span as f64,
-            );
-        }
-        PassResult {
-            cycles: self.cycles,
-            count: self.count,
-            mispred_stats: self.track_segments.then_some(self.stats),
-        }
+    if track_segments && seg_count > 0 {
+        let span = seg_max.saturating_sub(seg_start).max(1);
+        stats.record_segment(
+            seg_count.min(u32::MAX as u64) as u32,
+            seg_count as f64 / span as f64,
+        );
     }
-}
-
-/// One machine pass over a pre-decoded trace. Bit-for-bit equivalent to
-/// [`run_pass`](crate::pass::run_pass) on the same classification (the
-/// `fused_equivalence` integration suite holds this across every machine,
-/// workload, and unroll setting). The whole-trace special case of
-/// [`MachineCursor`]: one cursor, one chunk, finish.
-///
-/// Generic over the metrics sink: with [`NullSink`] every `S::ENABLED`
-/// block is statically eliminated and this monomorphizes to the exact
-/// uninstrumented hot loop; with a recording sink it additionally resolves
-/// each scheduled instruction's *binding edge* — which constraint term won
-/// the `max` that set its issue cycle, and which earlier event produced it
-/// (see `clfp-metrics` and `docs/OBSERVABILITY.md`).
-pub(crate) fn run_machine<S: MetricsSink>(
-    pcs: &ProgramMeta,
-    events: &[EventMeta],
-    class: &EventClass,
-    config: &PassConfig,
-    kind: MachineKind,
-    state: &mut MachineState,
-    sink: &mut S,
-) -> PassResult {
-    let mut cursor = MachineCursor::new(kind, pcs.pcs.len(), S::ENABLED);
-    cursor.feed(pcs, events, class, config, state, sink);
-    cursor.finish()
+    PassResult {
+        cycles,
+        count,
+        mispred_stats: track_segments.then_some(stats),
+    }
 }
 
 /// Runs every requested machine over one prepared trace, returning results
@@ -635,7 +308,7 @@ pub(crate) fn run_fused(
             .iter()
             .map(|&kind| {
                 state.clear();
-                run_machine(pcs, events, class, config, kind, &mut state, &mut NullSink)
+                run_machine(pcs, events, class, config, kind, &mut state)
             })
             .collect();
     }
@@ -652,8 +325,7 @@ pub(crate) fn run_fused(
                         break;
                     }
                     state.clear();
-                    let result =
-                        run_machine(pcs, events, class, config, kinds[i], &mut state, &mut NullSink);
+                    let result = run_machine(pcs, events, class, config, kinds[i], &mut state);
                     results.lock().unwrap()[i] = Some(result);
                 }
             });
@@ -720,18 +392,13 @@ mod tests {
             let trace = vm.trace(config.max_instrs).unwrap();
             let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
             let class = tm.class(unrolling);
-            let mut state = MachineState::new(program.text.len());
+            let mut state = MachineState::with_mem_capacity(
+                program.text.len(),
+                crate::lane::DEFAULT_MEM_CAPACITY,
+            );
             for kind in MachineKind::ALL {
                 state.clear();
-                let fused = run_machine(
-                    &pcs,
-                    &tm.events,
-                    class,
-                    &pass_config,
-                    kind,
-                    &mut state,
-                    &mut NullSink,
-                );
+                let fused = run_machine(&pcs, &tm.events, class, &pass_config, kind, &mut state);
                 let reference = run_pass(
                     &Prepared {
                         program: &program,
@@ -778,118 +445,16 @@ mod tests {
             crate::lane::DEFAULT_MEM_CAPACITY,
         );
         assert_eq!(results.len(), 3);
-        let mut state = MachineState::new(program.text.len());
+        let mut state =
+            MachineState::with_mem_capacity(program.text.len(), crate::lane::DEFAULT_MEM_CAPACITY);
         for (result, &kind) in results.iter().zip(&kinds) {
             state.clear();
-            let lone = run_machine(
-                &pcs,
-                &tm.events,
-                class,
-                &pass_config,
-                kind,
-                &mut state,
-                &mut NullSink,
-            );
+            let lone = run_machine(&pcs, &tm.events, class, &pass_config, kind, &mut state);
             assert_eq!(result.cycles, lone.cycles, "{kind}");
             assert_eq!(result.count, lone.count, "{kind}");
         }
         // SP is last in the request, so its stats are present there only.
         assert!(results[2].mispred_stats.is_some());
         assert!(results[0].mispred_stats.is_none());
-    }
-
-    #[test]
-    fn recording_sink_does_not_perturb_results() {
-        use clfp_metrics::{EdgeKind, MetricsCollector};
-        let program = assemble(SOURCE).unwrap();
-        let info = StaticInfo::analyze(&program);
-        for unrolling in [false, true] {
-            let config = AnalysisConfig::quick().with_unrolling(unrolling);
-            let pass_config = PassConfig::from_analysis(&config);
-            let pcs = ProgramMeta::build(&program, &info, &pass_config);
-            let mut vm = Vm::new(
-                &program,
-                VmOptions {
-                    mem_words: config.mem_words,
-                },
-            );
-            let trace = vm.trace(config.max_instrs).unwrap();
-            let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
-            let class = tm.class(unrolling);
-            let mut state = MachineState::new(program.text.len());
-            for kind in MachineKind::ALL {
-                state.clear();
-                let plain = run_machine(
-                    &pcs,
-                    &tm.events,
-                    class,
-                    &pass_config,
-                    kind,
-                    &mut state,
-                    &mut NullSink,
-                );
-                state.clear();
-                let mut collector = MetricsCollector::with_capacity(tm.events.len());
-                let observed = run_machine(
-                    &pcs,
-                    &tm.events,
-                    class,
-                    &pass_config,
-                    kind,
-                    &mut state,
-                    &mut collector,
-                );
-                assert_eq!(observed.cycles, plain.cycles, "{kind}");
-                assert_eq!(observed.count, plain.count, "{kind}");
-                assert_eq!(observed.mispred_stats, plain.mispred_stats, "{kind}");
-
-                assert_eq!(collector.len(), tm.events.len(), "{kind}");
-                let metrics = collector.finish();
-                // The distilled metrics re-derive the pass result exactly.
-                assert_eq!(metrics.cycles, plain.cycles, "{kind}");
-                assert_eq!(metrics.instrs, plain.count, "{kind}");
-                assert_eq!(metrics.flow.total(), plain.count, "{kind}");
-                assert!(metrics.attribution.chain_len >= 1, "{kind}");
-                let total: f64 = EdgeKind::ALL
-                    .iter()
-                    .map(|&k| metrics.attribution.percent(k))
-                    .sum();
-                if metrics.attribution.classified() > 0 {
-                    assert!((total - 100.0).abs() < 1e-9, "{kind}: {total}");
-                }
-                // ORACLE has no control constraint of any kind.
-                if kind == MachineKind::Oracle {
-                    assert_eq!(metrics.flow.control_bound(), 0);
-                }
-                // Multiple-flow machines never pay the merge ordering.
-                if kind.multiple_flows() || !kind.uses_control_deps() {
-                    assert_eq!(
-                        metrics.flow.by_kind[3], 0,
-                        "{kind} should have no mf-merge edges"
-                    );
-                }
-            }
-
-            // The streaming metrics path (chunked cursor + recording sink)
-            // must reproduce the in-memory metrics bit for bit, including
-            // across boundary-straddling 7-event chunks.
-            let analyzer = crate::Analyzer::new(&program, config.clone()).unwrap();
-            let inmem = analyzer.prepare(&trace).machine_metrics_with_unrolling(unrolling);
-            let streamed = analyzer.stream_machine_metrics(&trace, unrolling, 7).unwrap();
-            assert_eq!(inmem.len(), streamed.len());
-            for ((k, a), (k2, b)) in inmem.iter().zip(&streamed) {
-                let tag = format!("{k} unroll={unrolling}");
-                assert_eq!(k, k2, "{tag}");
-                assert_eq!(a.instrs, b.instrs, "{tag}");
-                assert_eq!(a.cycles, b.cycles, "{tag}");
-                assert_eq!(a.flow, b.flow, "{tag}");
-                assert_eq!(a.attribution, b.attribution, "{tag}");
-                assert_eq!(a.occupancy.buckets, b.occupancy.buckets, "{tag}");
-                assert_eq!(a.occupancy.cycles, b.occupancy.cycles, "{tag}");
-                assert_eq!(a.occupancy.busy_cycles, b.occupancy.busy_cycles, "{tag}");
-                assert_eq!(a.occupancy.instrs, b.occupancy.instrs, "{tag}");
-                assert_eq!(a.occupancy.peak, b.occupancy.peak, "{tag}");
-            }
-        }
     }
 }

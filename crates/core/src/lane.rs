@@ -41,17 +41,30 @@
 //! scalar cursor, so the resulting [`MispredictionStats`] are
 //! bit-identical.
 //!
-//! The kernel produces [`PassResult`]s only. Metrics recording
-//! (`clfp-metrics` sinks) needs per-machine binding-edge attribution and
-//! stays on the scalar [`MachineCursor`](crate::fused::MachineCursor);
-//! the `lane_equivalence` integration suite holds the lane kernel
+//! Metrics recording is a mode of the same kernel: the cursor is also
+//! generic over a `clfp-metrics` sink, one per lane. With [`NullSink`]
+//! the recording code and its shadow tables compile away, and the walk
+//! produces [`PassResult`]s only. With a [`MetricsCollector`] per lane
+//! ([`record_metrics`]) the kernel additionally replays each event's
+//! max-fold as per-lane selects to find the *binding edge* — which
+//! constraint set the issue cycle and which earlier event produced it —
+//! reading producer-event shadows that every lane of a recording group
+//! shares (see [`Shadows`]). Recording groups hold at most four lanes and
+//! run one after the other, bounding the live collectors.
+//!
+//! The `lane_equivalence` integration suite holds the lane kernel
 //! bit-identical to both the scalar cursor and the original reference
-//! pass across machines, workloads, unroll settings, and chunk sizes.
+//! pass across machines, workloads, unroll settings, and chunk sizes; the
+//! `metrics_digest` suite pins the recorded metrics.
 
+use clfp_metrics::{
+    BindingEdge, EdgeKind, MachineMetrics, MetricsCollector, MetricsSink, NullSink, NO_PARENT,
+};
+
+use crate::lastwrite::LastWriteTable;
 use crate::meta::{
-    EventClass, EventMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED, EV_VALPRED,
-    NO_REG,
-    PC_CALL, PC_LOAD, PC_RET, PC_STORE,
+    EventClass, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED,
+    EV_VALPRED, NO_REG, PC_CALL, PC_LOAD, PC_RET, PC_STORE,
 };
 use crate::pass::{PassConfig, PassResult};
 use crate::stats::MispredictionStats;
@@ -286,11 +299,141 @@ fn lane_mask(on: bool) -> u64 {
     }
 }
 
+/// Producer-event shadows of a recording group's timing state: which
+/// trace event wrote each time the binding-edge replay reads, so every
+/// scheduled instruction's binding edge can name its parent.
+///
+/// All lanes of a recording group read one unroll classification (the
+/// metrics callers record every machine at one setting), so they ignore
+/// the same events, and the last writer of a register, a branch PC or a
+/// memory key is the same event on every lane: one scalar table per group
+/// serves them all. The exception is the memory-writer shadow under
+/// accumulating disambiguation, where a store owns the table entry only on
+/// the lanes whose completion reached the accumulated maximum; that shadow
+/// keeps one writer per lane.
+struct Shadows<const L: usize> {
+    /// Last writer of each register ([`NO_PARENT`] if none).
+    reg_writer: [u32; 32],
+    /// Last store to each memory key as event index + 1 (0 = none): one
+    /// writer per group when stores overwrite the last-write table…
+    mem_writer: LastWriteTable,
+    /// …one per lane when they accumulate into it.
+    mem_writer_lanes: LaneTable<L>,
+    /// Shadow `branch_time` / `branch_ceiling` (CD groups only): an
+    /// ignored branch passes its inherited parents on as it passes on
+    /// the times.
+    branch_time_ev: Vec<u32>,
+    branch_ceiling_ev: Vec<u32>,
+    /// Shadows the inherited-dependence call stack.
+    stack_ev: Vec<(u32, u32)>,
+    last_branch_ev: u32,
+    last_mispred_ev: u32,
+    /// Global index of the next event: sink indices run across chunks.
+    next: u32,
+}
+
+impl<const L: usize> Shadows<L> {
+    /// Shadows for a recording group; all tables empty when `record` is
+    /// off, since a null-sink group never touches them.
+    fn new(record: bool, cd: bool, text_len: usize, accumulate: bool, mem_capacity: usize) -> Self {
+        let capacity = |on: bool| if record && on { mem_capacity } else { 0 };
+        let branch_len = if record && cd { text_len } else { 0 };
+        Shadows {
+            reg_writer: [NO_PARENT; 32],
+            mem_writer: LastWriteTable::with_capacity(capacity(!accumulate)),
+            mem_writer_lanes: LaneTable::with_capacity(capacity(accumulate)),
+            branch_time_ev: vec![NO_PARENT; branch_len],
+            branch_ceiling_ev: vec![NO_PARENT; branch_len],
+            stack_ev: Vec::new(),
+            last_branch_ev: NO_PARENT,
+            last_mispred_ev: NO_PARENT,
+            next: 0,
+        }
+    }
+
+    /// The parents behind a pre-resolved `cd` annotation's
+    /// `(time, ceiling)` context.
+    #[inline]
+    fn cd_parents(&self, cd: u32) -> (u32, u32) {
+        match cd {
+            CD_NONE => (NO_PARENT, NO_PARENT),
+            CD_INHERIT => self
+                .stack_ev
+                .last()
+                .copied()
+                .unwrap_or((NO_PARENT, NO_PARENT)),
+            pc => (
+                self.branch_time_ev[pc as usize],
+                self.branch_ceiling_ev[pc as usize],
+            ),
+        }
+    }
+
+    /// Per-lane last store to `key` ([`NO_PARENT`] if none).
+    #[inline]
+    fn mem_writers(&self, key: u32, accumulate: bool) -> [u32; L] {
+        let parent = |v: u64| v.checked_sub(1).map_or(NO_PARENT, |i| i as u32);
+        if accumulate {
+            self.mem_writer_lanes.get(key).map(parent)
+        } else {
+            [parent(self.mem_writer.get(key)); L]
+        }
+    }
+}
+
+/// A binding edge packed into a `u64` so per-lane edge choices are
+/// branch-free selects: the [`EdgeKind`] index + 1 above the parent
+/// event index; 0 is no edge.
+#[inline(always)]
+fn pack(kind: EdgeKind, parent: u32) -> u64 {
+    ((kind as u64 + 1) << 32) | u64::from(parent)
+}
+
+#[inline(always)]
+fn unpack(edge: u64) -> Option<BindingEdge> {
+    match edge >> 32 {
+        0 => None,
+        code => Some(BindingEdge::new(
+            EdgeKind::ALL[code as usize - 1],
+            edge as u32,
+        )),
+    }
+}
+
+/// Folds one per-lane constraint term into running per-lane
+/// `(value, edge)` maxima with the scheduler's tie-breaking: `a.max(b)`
+/// returns `b` on equality, so a later term wins ties. A term masked to 0
+/// for a lane can win only while that lane's maximum is still 0, and a
+/// final maximum of 0 reports no edge, so masking keeps the tie-break of
+/// a machine-at-a-time fold exactly.
+#[inline(always)]
+fn fold<const L: usize>(
+    value: &mut [u64; L],
+    edge: &mut [u64; L],
+    term: &[u64; L],
+    term_edge: [u64; L],
+) {
+    for l in 0..L {
+        let wins = lane_mask(term[l] >= value[l]);
+        value[l] = value[l].max(term[l]);
+        edge[l] = (term_edge[l] & wins) | (edge[l] & !wins);
+    }
+}
+
 /// A group of up to `L` lanes scheduled together by one monomorphized
-/// kernel. `CD` selects the control-dependence state (branch arrays +
-/// inheritance stack); `RENAME` strips anti-dependence tracking; `FETCH`
-/// strips the fetch-bandwidth divide.
-struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> {
+/// kernel. `S` is the per-lane metrics sink: [`NullSink`] statically
+/// removes the binding-edge replay and its shadow tables, so the
+/// throughput walk compiles to the bare loop. `CD` selects the
+/// control-dependence state (branch arrays + inheritance stack); `RENAME`
+/// strips anti-dependence tracking; `FETCH` strips the fetch-bandwidth
+/// divide.
+struct GroupCursor<
+    S: MetricsSink,
+    const L: usize,
+    const CD: bool,
+    const RENAME: bool,
+    const FETCH: bool,
+> {
     /// The real lanes (`lanes.len() <= L`; padding lanes replicate lane 0
     /// and their results are discarded).
     lanes: Vec<LaneSlot>,
@@ -328,6 +471,10 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     cycles: [u64; L],
     count: [u64; L],
     seg: Vec<SegTracker>,
+    /// One sink per real lane.
+    sinks: Vec<S>,
+    /// Producer-event shadows, maintained only when `S::ENABLED`.
+    shadows: Shadows<L>,
 
     /// Trace/profile attribution, maintained only while tracing is on
     /// (`clfp_metrics::trace`): process-wide group id, walk start
@@ -339,8 +486,8 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     fed_chunks: u64,
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
-    GroupCursor<L, CD, RENAME, FETCH>
+impl<S: MetricsSink, const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
+    GroupCursor<S, L, CD, RENAME, FETCH>
 {
     fn new(
         lanes: &[LaneSlot],
@@ -348,8 +495,19 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
         config: &PassConfig,
         mem_capacity: usize,
         mode: GroupMode,
+        sinks: Vec<S>,
     ) -> Self {
         debug_assert!(!lanes.is_empty() && lanes.len() <= L);
+        assert_eq!(sinks.len(), lanes.len(), "one sink per lane");
+        // The shared shadow tables assume every lane ignores the same
+        // events and publishes the same value-prediction releases.
+        assert!(
+            !S::ENABLED
+                || lanes
+                    .iter()
+                    .all(|l| l.unrolling == lanes[0].unrolling && l.vp_flag == lanes[0].vp_flag),
+            "a recording group's lanes share one unroll setting and value-prediction mode"
+        );
         let spec = |l: usize| lanes[l.min(lanes.len() - 1)];
         let mut unroll_sel = [0; L];
         let mut m_a = [0; L];
@@ -372,6 +530,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
                 m_b[l] = lane_mask(lane.kind == MachineKind::Sp);
             }
         }
+        let shadows = Shadows::new(S::ENABLED, CD, text_len, mode.accumulate, mem_capacity);
         GroupCursor {
             lanes: lanes.to_vec(),
             fetch_width: config.fetch_bandwidth.unwrap_or(1),
@@ -387,8 +546,16 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
             reg_read: [[0; L]; 32],
             mem_time: LaneTable::with_capacity(mem_capacity),
             mem_read: LaneTable::with_capacity(if RENAME { 1 } else { mem_capacity }),
-            branch_time: if CD { vec![[0; L]; text_len] } else { Vec::new() },
-            branch_ceiling: if CD { vec![[0; L]; text_len] } else { Vec::new() },
+            branch_time: if CD {
+                vec![[0; L]; text_len]
+            } else {
+                Vec::new()
+            },
+            branch_ceiling: if CD {
+                vec![[0; L]; text_len]
+            } else {
+                Vec::new()
+            },
             stack: Vec::new(),
             last_branch: [0; L],
             last_mispred: [0; L],
@@ -400,6 +567,8 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
                 .filter(|(_, lane)| lane.kind == MachineKind::Sp)
                 .map(|(l, _)| SegTracker::new(l))
                 .collect(),
+            sinks,
+            shadows,
             group_id: NEXT_GROUP_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             walk_start_us: 0,
             busy_ns: 0,
@@ -421,12 +590,173 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
             ),
         }
     }
+
+    /// Recording groups only: replays the max-fold that set each lane's
+    /// issue cycle, term by term in the scalar fold's order (the primary
+    /// control term, the CD/SP-CD branch-ordering extra, fetch, register
+    /// uses, the load, the anti-dependences, the store), reports each
+    /// lane's binding edge to its sink, then advances the producer
+    /// shadows. Runs before the event's timing-state updates, so every
+    /// table still holds the values the fold read.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        event: &EventMeta,
+        meta: &PcMeta,
+        mem_key: u32,
+        active: bool,
+        cd: (&[u64; L], &[u64; L]),
+        exec: &[u64; L],
+        done: &[u64; L],
+    ) {
+        use EdgeKind::{Control, MemData, MfMerge, RegData};
+        let splat = |kind, parent| [pack(kind, parent); L];
+        let sh = &mut self.shadows;
+        let i = sh.next;
+        sh.next += 1;
+        let is_branch = event.flags & EV_BRANCH != 0;
+        let mispredicted = event.flags & EV_MISPRED != 0 && is_branch;
+        let is_store = meta.is(PC_STORE);
+        let (cp0, cp1) = if CD {
+            sh.cd_parents(event.cd)
+        } else {
+            (NO_PARENT, NO_PARENT)
+        };
+
+        if !active {
+            for sink in &mut self.sinks {
+                sink.on_schedule(i, 0, 0, None);
+            }
+        } else {
+            // Control terms. `m_a`/`m_b` are disjoint, so each lane's
+            // primary term is exactly its machine's single control source.
+            let (ta, tb, pa, pb) = if CD {
+                (cd.0, cd.1, cp0, cp1)
+            } else {
+                let (lb, lm) = (sh.last_branch_ev, sh.last_mispred_ev);
+                (&self.last_branch, &self.last_mispred, lb, lm)
+            };
+            let (ea, eb) = (pack(Control, pa), pack(Control, pb));
+            let mut cv = [0u64; L];
+            let mut ce = [0u64; L];
+            for l in 0..L {
+                cv[l] = (ta[l] & self.m_a[l]).max(tb[l] & self.m_b[l]);
+                ce[l] = (ea & self.m_a[l]) | (eb & self.m_b[l]);
+            }
+            if CD && is_branch {
+                let term = std::array::from_fn(|l| self.last_branch[l] & self.m_ord_lb[l]);
+                fold(&mut cv, &mut ce, &term, splat(MfMerge, sh.last_branch_ev));
+                if mispredicted {
+                    let term = std::array::from_fn(|l| self.last_mispred[l] & self.m_ord_lm[l]);
+                    fold(&mut cv, &mut ce, &term, splat(MfMerge, sh.last_mispred_ev));
+                }
+            }
+            if FETCH {
+                // Fetch bandwidth has no single producer event.
+                let term = self.count.map(|c| c / self.fetch_width);
+                fold(&mut cv, &mut ce, &term, [0; L]);
+            }
+
+            // Data terms.
+            let mut dv = [0u64; L];
+            let mut de = [0u64; L];
+            for &reg in &meta.uses {
+                if reg == NO_REG {
+                    break;
+                }
+                let writer = splat(RegData, sh.reg_writer[reg as usize]);
+                fold(&mut dv, &mut de, &self.reg_time[reg as usize], writer);
+            }
+            let is_load = meta.is(PC_LOAD);
+            let mem_edges = if is_load || (!RENAME && is_store) {
+                sh.mem_writers(mem_key, self.mem_accumulate)
+                    .map(|p| pack(MemData, p))
+            } else {
+                [0; L]
+            };
+            if is_load {
+                fold(&mut dv, &mut de, &self.mem_time.get(mem_key), mem_edges);
+            }
+            if !RENAME {
+                if meta.def != NO_REG {
+                    // Anti-dependences: the binding reader event is not
+                    // tracked, only the dependence kind.
+                    let def = meta.def as usize;
+                    let (reader, writer) = (
+                        splat(RegData, NO_PARENT),
+                        splat(RegData, sh.reg_writer[def]),
+                    );
+                    fold(&mut dv, &mut de, &self.reg_read[def], reader);
+                    fold(&mut dv, &mut de, &self.reg_time[def], writer);
+                }
+                if is_store {
+                    let reader = splat(MemData, NO_PARENT);
+                    fold(&mut dv, &mut de, &self.mem_read.get(mem_key), reader);
+                    fold(&mut dv, &mut de, &self.mem_time.get(mem_key), mem_edges);
+                }
+            }
+
+            // `data.max(ctl)`: control wins the final tie; a maximum of 0
+            // means ready at cycle 0 — nothing bound.
+            let (mut bv, mut be) = (dv, de);
+            fold(&mut bv, &mut be, &cv, ce);
+            for (l, sink) in self.sinks.iter_mut().enumerate() {
+                debug_assert_eq!(bv[l] + 1, exec[l]);
+                let bound = be[l] & lane_mask(bv[l] != 0);
+                sink.on_schedule(i, exec[l], done[l], unpack(bound));
+            }
+
+            if meta.def != NO_REG {
+                sh.reg_writer[meta.def as usize] = i;
+            }
+            if is_store {
+                if self.mem_accumulate {
+                    // A store that did not advance a lane's accumulated
+                    // maximum does not own that lane's table value.
+                    let prev = self.mem_time.get(mem_key);
+                    let owner = sh.mem_writer_lanes.entry(mem_key);
+                    for l in 0..L {
+                        if done[l] >= prev[l] {
+                            owner[l] = u64::from(i) + 1;
+                        }
+                    }
+                } else {
+                    sh.mem_writer.set(mem_key, u64::from(i) + 1);
+                }
+            }
+            if is_branch {
+                sh.last_branch_ev = i;
+                if mispredicted {
+                    sh.last_mispred_ev = i;
+                }
+            }
+        }
+
+        if CD {
+            if is_branch {
+                let pc = event.pc as usize;
+                if active {
+                    sh.branch_time_ev[pc] = i;
+                    sh.branch_ceiling_ev[pc] = if mispredicted { i } else { cp1 };
+                } else {
+                    sh.branch_time_ev[pc] = cp0;
+                    sh.branch_ceiling_ev[pc] = cp1;
+                }
+            }
+            if meta.is(PC_CALL) {
+                sh.stack_ev.push((cp0, cp1));
+            } else if meta.is(PC_RET) {
+                sh.stack_ev.pop();
+            }
+        }
+    }
 }
 
 /// Object-safe handle over one monomorphized lane group, so the
 /// scheduler (and the streaming broadcast) can hold a mixed set of
 /// groups and feed them chunk by chunk.
-pub(crate) trait GroupFeed: Send {
+pub(crate) trait GroupFeed<S = NullSink>: Send {
     /// Schedules one chunk of consecutive events. `offset` is the
     /// position of `events[0]` within the classifications, so callers can
     /// feed sub-slices of an in-memory trace against whole-trace
@@ -441,12 +771,15 @@ pub(crate) trait GroupFeed: Send {
         rolled: &EventClass,
     );
 
-    /// Closes the walk, returning `(request slot, result)` per real lane.
-    fn finish(self: Box<Self>) -> Vec<(usize, PassResult)>;
+    /// Closes the walk, returning `(request slot, result, sink)` per real
+    /// lane.
+    fn finish(self: Box<Self>) -> Vec<(usize, PassResult, S)>;
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> GroupFeed
-    for GroupCursor<L, CD, RENAME, FETCH>
+impl<S, const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> GroupFeed<S>
+    for GroupCursor<S, L, CD, RENAME, FETCH>
+where
+    S: MetricsSink + Send,
 {
     fn feed(
         &mut self,
@@ -511,7 +844,8 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                 }
             } else {
                 for (l, c) in ctl.iter_mut().enumerate() {
-                    *c = (self.last_branch[l] & self.m_a[l]).max(self.last_mispred[l] & self.m_b[l]);
+                    *c =
+                        (self.last_branch[l] & self.m_a[l]).max(self.last_mispred[l] & self.m_b[l]);
                 }
             }
             if FETCH {
@@ -575,6 +909,11 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
             for l in 0..L {
                 exec[l] = data[l].max(ctl[l]) + 1;
                 done[l] = exec[l] + latency - 1;
+            }
+            if S::ENABLED {
+                // A recording group's lanes share one classification, so
+                // lane 0's mask is every lane's.
+                self.record(event, meta, mem_key, am[0] != 0, (&cd0, &cd1), &exec, &done);
             }
 
             // State updates, select-masked per lane.
@@ -689,7 +1028,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
         }
     }
 
-    fn finish(self: Box<Self>) -> Vec<(usize, PassResult)> {
+    fn finish(self: Box<Self>) -> Vec<(usize, PassResult, S)> {
         // One synthesized summary span per group walk: start = first
         // feed, duration = accumulated busy time (the group may have
         // interleaved with others on one thread, so a plain RAII guard
@@ -711,9 +1050,13 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                 vec![
                     ("group", ArgValue::U64(self.group_id)),
                     ("cd", ArgValue::Bool(CD)),
+                    ("record", ArgValue::Bool(S::ENABLED)),
                     ("lanes", ArgValue::U64(self.lanes.len() as u64)),
                     ("width", ArgValue::U64(L as u64)),
-                    ("key_mode", ArgValue::Str(self.key_mode.trace_name().to_string())),
+                    (
+                        "key_mode",
+                        ArgValue::Str(self.key_mode.trace_name().to_string()),
+                    ),
                     ("slots", ArgValue::Str(slots)),
                     ("events", ArgValue::U64(self.fed_events)),
                     ("chunks", ArgValue::U64(self.fed_chunks)),
@@ -727,8 +1070,9 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
         }
         self.lanes
             .iter()
+            .zip(self.sinks)
             .enumerate()
-            .map(|(l, lane)| {
+            .map(|(l, (lane, sink))| {
                 (
                     lane.slot,
                     PassResult {
@@ -736,9 +1080,43 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                         count: self.count[l],
                         mispred_stats: stats[l].take(),
                     },
+                    sink,
                 )
             })
             .collect()
+    }
+}
+
+/// Boxes the kernel monomorphized for one sink, width and group kind,
+/// dispatching on the renaming and fetch-bandwidth settings.
+fn boxed<S, const L: usize, const CD: bool>(
+    lanes: &[LaneSlot],
+    text_len: usize,
+    config: &PassConfig,
+    mem_capacity: usize,
+    mode: GroupMode,
+    sinks: Vec<S>,
+) -> Box<dyn GroupFeed<S>>
+where
+    S: MetricsSink + Send + 'static,
+{
+    macro_rules! mono {
+        ($rename:literal, $fetch:literal) => {
+            Box::new(GroupCursor::<S, L, CD, $rename, $fetch>::new(
+                lanes,
+                text_len,
+                config,
+                mem_capacity,
+                mode,
+                sinks,
+            ))
+        };
+    }
+    match (config.rename, config.fetch_bandwidth.is_some()) {
+        (true, false) => mono!(true, false),
+        (true, true) => mono!(true, true),
+        (false, false) => mono!(false, false),
+        (false, true) => mono!(false, true),
     }
 }
 
@@ -749,47 +1127,21 @@ fn make_group<const CD: bool>(
     mem_capacity: usize,
     mode: GroupMode,
 ) -> Box<dyn GroupFeed> {
-    macro_rules! mono {
-        ($l:literal) => {
-            match (config.rename, config.fetch_bandwidth.is_some()) {
-                (true, false) => Box::new(GroupCursor::<$l, CD, true, false>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )) as Box<dyn GroupFeed>,
-                (true, true) => Box::new(GroupCursor::<$l, CD, true, true>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )),
-                (false, false) => Box::new(GroupCursor::<$l, CD, false, false>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )),
-                (false, true) => Box::new(GroupCursor::<$l, CD, false, true>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )),
-            }
-        };
-    }
-    match lanes.len() {
-        1 => mono!(1),
-        2 => mono!(2),
-        3 | 4 => mono!(4),
-        5 | 6 => mono!(6),
-        _ => mono!(8),
-    }
+    let build = match lanes.len() {
+        1 => boxed::<NullSink, 1, CD>,
+        2 => boxed::<NullSink, 2, CD>,
+        3 | 4 => boxed::<NullSink, 4, CD>,
+        5 | 6 => boxed::<NullSink, 6, CD>,
+        _ => boxed::<NullSink, 8, CD>,
+    };
+    build(
+        lanes,
+        text_len,
+        config,
+        mem_capacity,
+        mode,
+        vec![NullSink; lanes.len()],
+    )
 }
 
 /// All lane groups for one set of requested machine × unroll slots,
@@ -888,7 +1240,7 @@ impl LaneScheduler {
     pub fn finish(self) -> Vec<PassResult> {
         let mut out: Vec<Option<PassResult>> = (0..self.total).map(|_| None).collect();
         for group in self.groups {
-            for (slot, result) in group.finish() {
+            for (slot, result, _) in group.finish() {
                 out[slot] = Some(result);
             }
         }
@@ -953,4 +1305,241 @@ pub(crate) fn run_scheduler(
         }
     }
     sched.finish()
+}
+
+/// Lanes per recording group. Every recorded lane holds a collector of 5
+/// bytes per event, and recording groups walk one after the other, so at
+/// most this many collectors are live at once.
+const RECORD_LANES: usize = 4;
+
+/// Records per-machine metrics for `kinds` at one unroll setting through
+/// the lane kernel with a [`MetricsCollector`] per lane.
+///
+/// The machines split into recording groups of at most [`RECORD_LANES`]
+/// lanes — the control-dependence machines first, then the rest — and
+/// the groups run one after the other: `walk` feeds the whole event
+/// stream to each group in turn (the in-memory path passes its prepared
+/// slice, the streaming path re-streams the execution), and each group's
+/// collectors are finished before the next group starts. Results come
+/// back in request order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn record_metrics<E>(
+    kinds: &[MachineKind],
+    unrolling: bool,
+    text_len: usize,
+    config: &PassConfig,
+    mem_capacity: usize,
+    events_hint: usize,
+    mut walk: impl FnMut(&mut dyn GroupFeed<MetricsCollector>) -> Result<(), E>,
+) -> Result<Vec<(MachineKind, MachineMetrics)>, E> {
+    let lanes: Vec<LaneSlot> = kinds
+        .iter()
+        .enumerate()
+        .map(|(slot, &kind)| LaneSlot {
+            slot,
+            kind,
+            unrolling,
+            vp_flag: EV_VALPRED,
+        })
+        .collect();
+    let (cd_lanes, plain_lanes): (Vec<LaneSlot>, Vec<LaneSlot>) = lanes
+        .into_iter()
+        .partition(|lane| lane.kind.uses_control_deps());
+    let mut out: Vec<Option<MachineMetrics>> = kinds.iter().map(|_| None).collect();
+    for (cd, group_lanes) in [(true, cd_lanes), (false, plain_lanes)] {
+        for lanes in group_lanes.chunks(RECORD_LANES) {
+            let build = match (cd, lanes.len()) {
+                (true, 1) => boxed::<MetricsCollector, 1, true>,
+                (true, 2) => boxed::<MetricsCollector, 2, true>,
+                (true, 3) => boxed::<MetricsCollector, 3, true>,
+                (true, _) => boxed::<MetricsCollector, 4, true>,
+                (false, 1) => boxed::<MetricsCollector, 1, false>,
+                (false, 2) => boxed::<MetricsCollector, 2, false>,
+                (false, 3) => boxed::<MetricsCollector, 3, false>,
+                (false, _) => boxed::<MetricsCollector, 4, false>,
+            };
+            let sinks = lanes
+                .iter()
+                .map(|_| MetricsCollector::with_capacity(events_hint))
+                .collect();
+            let mode = GroupMode::from_config(config);
+            let mut group = build(lanes, text_len, config, mem_capacity, mode, sinks);
+            walk(group.as_mut())?;
+            for (slot, _, collector) in group.finish() {
+                out[slot] = Some(collector.finish());
+            }
+        }
+    }
+    Ok(kinds
+        .iter()
+        .zip(out)
+        .map(|(&kind, metrics)| (kind, metrics.expect("every machine has a lane")))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::meta::TraceMeta;
+    use crate::pass::{run_pass, Prepared};
+    use crate::AnalysisConfig;
+    use clfp_cfg::StaticInfo;
+    use clfp_isa::assemble;
+    use clfp_vm::{Vm, VmOptions};
+
+    /// A procedure-heavy program exercising calls, CD inheritance, loops,
+    /// and memory traffic.
+    const SOURCE: &str = r#"
+        .text
+        main:
+            li r8, 8
+        mloop:
+            mv a0, r8
+            call work
+            sw v0, 0x1000(r0)
+            lw r9, 0x1000(r0)
+            addi r8, r8, -1
+            bgt r8, r0, mloop
+            halt
+        work:
+            addi sp, sp, -4
+            sw ra, 0(sp)
+            li v0, 0
+            ble a0, r0, wend
+            addi v0, a0, 5
+        wend:
+            lw ra, 0(sp)
+            addi sp, sp, 4
+            ret
+        "#;
+
+    #[test]
+    fn recording_sink_does_not_perturb_results() {
+        let program = assemble(SOURCE).unwrap();
+        let info = StaticInfo::analyze(&program);
+        for unrolling in [false, true] {
+            let config = AnalysisConfig::quick().with_unrolling(unrolling);
+            let pass_config = PassConfig::from_analysis(&config);
+            let pcs = ProgramMeta::build(&program, &info, &pass_config);
+            let mut vm = Vm::new(
+                &program,
+                VmOptions {
+                    mem_words: config.mem_words,
+                },
+            );
+            let trace = vm.trace(config.max_instrs).unwrap();
+            let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
+            let (unrolled, rolled) = (tm.class(true), tm.class(false));
+            let slots: Vec<(MachineKind, bool)> = MachineKind::ALL
+                .iter()
+                .map(|&kind| (kind, unrolling))
+                .collect();
+            let plain = run_lanes(
+                &pcs,
+                &tm.events,
+                unrolled,
+                rolled,
+                &pass_config,
+                &slots,
+                DEFAULT_MEM_CAPACITY,
+            );
+
+            // The two recording groups (4 CD lanes, 3 non-CD lanes plus a
+            // padding lane), each walked on its own.
+            let mut recorded: Vec<(usize, PassResult, MetricsCollector)> = Vec::new();
+            for cd in [true, false] {
+                let lanes: Vec<LaneSlot> = MachineKind::ALL
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, kind)| kind.uses_control_deps() == cd)
+                    .map(|(slot, &kind)| LaneSlot {
+                        slot,
+                        kind,
+                        unrolling,
+                        vp_flag: EV_VALPRED,
+                    })
+                    .collect();
+                let sinks = lanes
+                    .iter()
+                    .map(|_| MetricsCollector::with_capacity(tm.events.len()))
+                    .collect();
+                let build = if cd {
+                    boxed::<MetricsCollector, 4, true>
+                } else {
+                    boxed::<MetricsCollector, 4, false>
+                };
+                let mode = GroupMode::from_config(&pass_config);
+                let mut group = build(
+                    &lanes,
+                    program.text.len(),
+                    &pass_config,
+                    DEFAULT_MEM_CAPACITY,
+                    mode,
+                    sinks,
+                );
+                group.feed(&pcs, 0, &tm.events, unrolled, rolled);
+                recorded.extend(group.finish());
+            }
+            assert_eq!(recorded.len(), MachineKind::ALL.len());
+
+            for (slot, observed, collector) in recorded {
+                let kind = MachineKind::ALL[slot];
+                let reference = run_pass(
+                    &Prepared {
+                        program: &program,
+                        info: &info,
+                        events: trace.events(),
+                        class: tm.class(unrolling),
+                        pass_config,
+                    },
+                    kind,
+                );
+                for (want, oracle) in [(&plain[slot], "null-sink lanes"), (&reference, "run_pass")]
+                {
+                    let tag = format!("{kind} unroll={unrolling} vs {oracle}");
+                    assert_eq!(observed.cycles, want.cycles, "{tag}");
+                    assert_eq!(observed.count, want.count, "{tag}");
+                    assert_eq!(observed.mispred_stats, want.mispred_stats, "{tag}");
+                }
+
+                assert_eq!(collector.len(), tm.events.len(), "{kind}");
+                let metrics = collector.finish();
+                // The distilled metrics re-derive the pass result exactly.
+                assert_eq!(metrics.cycles, observed.cycles, "{kind}");
+                assert_eq!(metrics.instrs, observed.count, "{kind}");
+                assert_eq!(metrics.flow.total(), observed.count, "{kind}");
+                assert!(metrics.attribution.chain_len >= 1, "{kind}");
+                let total: f64 = EdgeKind::ALL
+                    .iter()
+                    .map(|&k| metrics.attribution.percent(k))
+                    .sum();
+                if metrics.attribution.classified() > 0 {
+                    assert!((total - 100.0).abs() < 1e-9, "{kind}: {total}");
+                }
+                // ORACLE has no control constraint of any kind.
+                if kind == MachineKind::Oracle {
+                    assert_eq!(metrics.flow.control_bound(), 0);
+                }
+                // Multiple-flow machines never pay the merge ordering.
+                if kind.multiple_flows() || !kind.uses_control_deps() {
+                    assert_eq!(
+                        metrics.flow.by_kind[3], 0,
+                        "{kind} should have no mf-merge edges"
+                    );
+                }
+            }
+
+            // The streaming metrics path (recording groups fed per chunk)
+            // must reproduce the in-memory metrics bit for bit, including
+            // across boundary-straddling 7-event chunks.
+            let analyzer = crate::Analyzer::new(&program, config.clone()).unwrap();
+            let inmem = analyzer
+                .prepare(&trace)
+                .machine_metrics_with_unrolling(unrolling);
+            let streamed = analyzer
+                .stream_machine_metrics(&trace, unrolling, 7)
+                .unwrap();
+            assert_eq!(inmem, streamed, "unroll={unrolling}");
+        }
+    }
 }

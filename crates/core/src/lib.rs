@@ -23,7 +23,7 @@
 //! Table 4). Parallelism is sequential instruction count divided by the
 //! critical-path length.
 //!
-//! The fused scheduler is generic over the `clfp-metrics` sink:
+//! The lane scheduling kernel is generic over the `clfp-metrics` sink:
 //! [`PreparedTrace::machine_metrics`] re-runs the machines with a
 //! recording sink to produce cycle-occupancy histograms and critical-path
 //! attribution (re-exported here as [`MachineMetrics`]), while the

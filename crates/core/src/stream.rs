@@ -15,8 +15,8 @@
 //!   through a [`MetaBuilder`] (classification, operand decode, dynamic
 //!   control-dependence resolution — all carried state lives in the
 //!   builder) into per-chunk `EventMeta`/[`EventClass`] buffers, which are
-//!   then fed to one [`MachineCursor`] per machine × unroll setting. The
-//!   cursors carry the scheduling state across chunks, so the resulting
+//!   then fed to the lane kernel's groups. The groups carry the
+//!   scheduling state across chunks, so the resulting
 //!   reports are bit-identical to the in-memory path — both are the same
 //!   builders, fed different chunk sizes (asserted across chunk sizes by
 //!   the `stream_equivalence` suite).
@@ -41,8 +41,7 @@ use clfp_vm::{
 };
 
 use crate::analyzer::{assemble_report, Analyzer, Report};
-use crate::fused::{MachineCursor, MachineState};
-use crate::lane::{GroupFeed, LaneScheduler};
+use crate::lane::{record_metrics, GroupFeed, LaneScheduler, DEFAULT_MEM_CAPACITY};
 use crate::meta::{EventClass, EventMeta, MetaBuilder, ProgramMeta, PC_COND_BRANCH};
 use crate::pass::{PassConfig, PassResult};
 use crate::{AnalyzeError, MachineKind, PredictorChoice};
@@ -345,11 +344,12 @@ impl<'a> Analyzer<'a> {
 
     /// Streaming analogue of
     /// [`PreparedTrace::machine_metrics_with_unrolling`](crate::PreparedTrace::machine_metrics_with_unrolling):
-    /// runs every configured machine over the streamed execution with the
-    /// recording metrics sink. Machines run one at a time, each over its
-    /// own re-stream, so only one collector is live at once; the collector
-    /// itself is inherently O(events) — this bounds *trace*-side memory,
-    /// not the diagnostic record.
+    /// runs every configured machine over the streamed execution through
+    /// the lane kernel's recording groups. The execution is re-streamed
+    /// once per recording group (the control-dependence machines, then the
+    /// rest), so at most one group's collectors are live at once; a
+    /// collector itself is inherently O(events) (5 bytes per event) — this
+    /// bounds *trace*-side memory, not the diagnostic record.
     ///
     /// # Errors
     ///
@@ -360,37 +360,27 @@ impl<'a> Analyzer<'a> {
         unrolling: bool,
         chunk_events: usize,
     ) -> Result<Vec<(MachineKind, clfp_metrics::MachineMetrics)>, AnalyzeError> {
-        use clfp_metrics::MetricsCollector;
-
         let chunk_events = chunk_events.max(1);
         let profile = self.stream_profile(source, chunk_events)?;
-        let pass_config = PassConfig::from_analysis(&self.config);
-        let text_len = self.program.text.len();
         let hint = source.len_hint().map_or(0, |n| n as usize);
-        let mut out = Vec::with_capacity(self.config.machines.len());
-        for &kind in &self.config.machines {
-            let mut builder =
-                MetaBuilder::new(self.program, &self.info, &self.meta, &self.config, &profile);
-            let mut buf = ChunkBuf::new(chunk_events);
-            let mut cursor = MachineCursor::new(kind, text_len, true);
-            let mut state = MachineState::new(text_len);
-            let mut collector = MetricsCollector::with_capacity(hint);
-            source.stream(chunk_events, &mut |chunk| {
-                buf.fill(&mut builder, chunk);
-                let class = if unrolling { &buf.unrolled } else { &buf.rolled };
-                cursor.feed(
-                    &self.meta,
-                    &buf.events,
-                    class,
-                    &pass_config,
-                    &mut state,
-                    &mut collector,
-                );
-            })?;
-            cursor.finish();
-            out.push((kind, collector.finish()));
-        }
-        Ok(out)
+        let metrics = record_metrics(
+            &self.config.machines,
+            unrolling,
+            self.program.text.len(),
+            &PassConfig::from_analysis(&self.config),
+            DEFAULT_MEM_CAPACITY,
+            hint,
+            |group| {
+                let mut builder =
+                    MetaBuilder::new(self.program, &self.info, &self.meta, &self.config, &profile);
+                let mut buf = ChunkBuf::new(chunk_events);
+                source.stream(chunk_events, &mut |chunk| {
+                    buf.fill(&mut builder, chunk);
+                    group.feed(&self.meta, 0, &buf.events, &buf.unrolled, &buf.rolled);
+                })
+            },
+        )?;
+        Ok(metrics)
     }
 
     /// Pass 1 without the summary: just the branch profile (empty unless
@@ -491,6 +481,7 @@ fn run_broadcast(
                     my_groups
                         .into_iter()
                         .flat_map(|group| group.finish())
+                        .map(|(slot, pass, _)| (slot, pass))
                         .collect::<Vec<(usize, PassResult)>>()
                 })
             })

@@ -3,16 +3,18 @@
 //! The machine passes in `clfp-limits` answer *how much* parallelism each
 //! abstract machine finds; this crate answers *why*. It provides:
 //!
-//! * [`MetricsSink`] — a zero-cost instrumentation hook for the fused
-//!   scheduler. The trait carries a `const ENABLED` flag so that the
-//!   [`NullSink`] path monomorphizes to exactly the uninstrumented hot
-//!   loop (every `if S::ENABLED` block is statically eliminated).
+//! * [`MetricsSink`] — a zero-cost instrumentation hook for the lane
+//!   scheduling kernel (one sink per lane). The trait carries a
+//!   `const ENABLED` flag so that the [`NullSink`] path monomorphizes to
+//!   exactly the uninstrumented hot loop (every `if S::ENABLED` block is
+//!   statically eliminated).
 //! * [`MetricsCollector`] / [`MachineMetrics`] — the enabled sink. Records
-//!   each dynamic instruction's issue cycle and *binding edge* (the
-//!   dependence that determined its issue time), then distills them into a
-//!   cycle-occupancy histogram ([`OccupancyHistogram`]), critical-path
-//!   attribution ([`CriticalPathAttribution`]) and whole-run flow-break
-//!   counters ([`FlowCounters`]).
+//!   each dynamic instruction's *binding edge* (the dependence that
+//!   determined its issue time) in 5 bytes and tallies issue cycles
+//!   online, then distills them into a cycle-occupancy histogram
+//!   ([`OccupancyHistogram`]), critical-path attribution
+//!   ([`CriticalPathAttribution`]) and whole-run flow-break counters
+//!   ([`FlowCounters`]).
 //! * [`RunManifest`] — provenance for generated artifacts: git describe,
 //!   a hash of the analysis configuration, trace cap, unroll setting,
 //!   wall-clock timestamp and host parallelism, embedded as a comment
@@ -115,9 +117,9 @@ impl BindingEdge {
     }
 }
 
-/// Instrumentation hook for the fused machine passes.
+/// Instrumentation hook for the machine passes.
 ///
-/// The scheduler is generic over `S: MetricsSink` and guards every
+/// The lane kernel is generic over `S: MetricsSink` and guards every
 /// metrics-only computation with `if S::ENABLED { ... }`. Because
 /// `ENABLED` is an associated *constant*, the [`NullSink`] instantiation
 /// compiles to the bare hot loop — the instrumented and uninstrumented
@@ -146,14 +148,28 @@ impl MetricsSink for NullSink {
     fn on_schedule(&mut self, _index: u32, _exec: u64, _done: u64, _edge: Option<BindingEdge>) {}
 }
 
-/// The metrics-on sink: records per-event schedule data for one machine
-/// pass, then [`finish`](MetricsCollector::finish)es into [`MachineMetrics`].
+/// The metrics-on sink for one machine pass: stores only what the
+/// critical-path walk needs per event — the binding edge's kind (1 byte)
+/// and producer (4 bytes) — and keeps every other summary online
+/// (instructions issued per cycle, flow counters, the instruction count,
+/// the maximum completion time and the last event reaching it).
+/// [`finish`](MetricsCollector::finish)es into [`MachineMetrics`].
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
-    exec: Vec<u64>,
-    done: Vec<u64>,
+    /// [`EdgeKind`] code of each event's binding edge (0 = none; ignored
+    /// events record none).
     edge_kind: Vec<u8>,
+    /// Producer event of each binding edge ([`NO_PARENT`] if none).
     edge_parent: Vec<u32>,
+    /// Instructions issued in each cycle, indexed by issue cycle.
+    per_cycle: Vec<u32>,
+    /// Scheduled instructions per binding-edge code (0 = unconstrained),
+    /// so counting is an index, not a branch.
+    by_code: [u64; 5],
+    /// Maximum completion time over the scheduled instructions.
+    cycles: u64,
+    /// Last scheduled event completing at `cycles`: the chain-walk start.
+    chain_end: Option<u32>,
 }
 
 impl MetricsCollector {
@@ -163,35 +179,73 @@ impl MetricsCollector {
 
     pub fn with_capacity(events: usize) -> Self {
         MetricsCollector {
-            exec: Vec::with_capacity(events),
-            done: Vec::with_capacity(events),
             edge_kind: Vec::with_capacity(events),
             edge_parent: Vec::with_capacity(events),
+            ..Self::default()
         }
     }
 
     /// Number of events recorded so far (scheduled + ignored).
     pub fn len(&self) -> usize {
-        self.exec.len()
+        self.edge_kind.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.exec.is_empty()
+        self.edge_kind.is_empty()
     }
 
     /// Distill the recorded schedule into summary metrics.
     pub fn finish(self) -> MachineMetrics {
-        let occupancy = OccupancyHistogram::from_exec_cycles(&self.exec, &self.done);
-        let flow = FlowCounters::from_edges(&self.exec, &self.edge_kind);
-        let attribution = self.walk_critical_path();
-        let instrs = self.exec.iter().filter(|&&e| e != 0).count() as u64;
-        let cycles = self.done.iter().copied().max().unwrap_or(0);
+        let [unconstrained, by_kind @ ..] = self.by_code;
         MachineMetrics {
-            instrs,
-            cycles,
-            occupancy,
-            attribution,
-            flow,
+            instrs: self.instrs(),
+            cycles: self.cycles,
+            occupancy: self.occupancy(),
+            attribution: self.walk_critical_path(),
+            flow: FlowCounters {
+                by_kind,
+                unconstrained,
+            },
+        }
+    }
+
+    fn instrs(&self) -> u64 {
+        self.by_code.iter().sum()
+    }
+
+    /// One pass over the per-cycle issue counts, summing each busy cycle
+    /// into the power-of-two bucket of its width.
+    fn occupancy(&self) -> OccupancyHistogram {
+        // (cycles, instrs) per bucket; bucket b holds widths [2^b, 2^(b+1)).
+        let mut by_bucket = [(0u64, 0u64); 64];
+        let mut busy_cycles = 0u64;
+        let mut peak = 0u64;
+        for &width in &self.per_cycle {
+            if width == 0 {
+                continue;
+            }
+            let width = u64::from(width);
+            busy_cycles += 1;
+            peak = peak.max(width);
+            let bucket = &mut by_bucket[width.ilog2() as usize];
+            bucket.0 += 1;
+            bucket.1 += width;
+        }
+        OccupancyHistogram {
+            buckets: by_bucket
+                .iter()
+                .enumerate()
+                .filter(|(_, &(cycles, _))| cycles != 0)
+                .map(|(b, &(cycles, instrs))| OccupancyBucket {
+                    width_low: 1 << b,
+                    cycles,
+                    instrs,
+                })
+                .collect(),
+            cycles: self.cycles,
+            busy_cycles,
+            instrs: self.instrs(),
+            peak,
         }
     }
 
@@ -200,17 +254,9 @@ impl MetricsCollector {
     /// edge kind of every hop.
     fn walk_critical_path(&self) -> CriticalPathAttribution {
         let mut attr = CriticalPathAttribution::default();
-        // Last index achieving the maximum completion time, mirroring the
-        // scheduler's later-wins tie-breaking.
-        let mut start = None;
-        let mut best = 0u64;
-        for (i, &d) in self.done.iter().enumerate() {
-            if self.exec[i] != 0 && d >= best {
-                best = d;
-                start = Some(i);
-            }
-        }
-        let Some(mut cur) = start else { return attr };
+        let Some(mut cur) = self.chain_end.map(|i| i as usize) else {
+            return attr;
+        };
         loop {
             attr.chain_len += 1;
             let Some(kind) = EdgeKind::from_code(self.edge_kind[cur]) else {
@@ -237,25 +283,30 @@ impl MetricsSink for MetricsCollector {
 
     #[inline]
     fn on_schedule(&mut self, index: u32, exec: u64, done: u64, edge: Option<BindingEdge>) {
-        debug_assert_eq!(index as usize, self.exec.len());
-        let _ = index;
-        self.exec.push(exec);
-        self.done.push(done);
-        match edge {
-            Some(e) => {
-                self.edge_kind.push(e.kind.code());
-                self.edge_parent.push(e.parent);
-            }
-            None => {
-                self.edge_kind.push(0);
-                self.edge_parent.push(NO_PARENT);
-            }
+        debug_assert_eq!(index as usize, self.edge_kind.len());
+        let (code, parent) = edge.map_or((0, NO_PARENT), |e| (e.kind.code(), e.parent));
+        self.edge_kind.push(code);
+        self.edge_parent.push(parent);
+        if exec == 0 {
+            return;
+        }
+        self.by_code[code as usize] += 1;
+        let cycle = exec as usize;
+        if cycle >= self.per_cycle.len() {
+            self.per_cycle.resize(cycle + 1, 0);
+        }
+        self.per_cycle[cycle] += 1;
+        // `>=`: the last event reaching the maximum starts the chain,
+        // mirroring the scheduler's later-wins tie-breaking.
+        if done >= self.cycles {
+            self.cycles = done;
+            self.chain_end = Some(index);
         }
     }
 }
 
 /// Everything one machine pass learned about one workload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineMetrics {
     /// Scheduled (non-ignored) dynamic instructions.
     pub instrs: u64,
@@ -295,7 +346,7 @@ pub struct OccupancyBucket {
 /// bursts of thousands separated by serial crawls; the histogram (and
 /// [`fraction_in_wide_cycles`](OccupancyHistogram::fraction_in_wide_cycles))
 /// distinguishes the two.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OccupancyHistogram {
     /// Geometric buckets by occupancy width, ascending, only non-empty ones.
     pub buckets: Vec<OccupancyBucket>,
@@ -310,52 +361,6 @@ pub struct OccupancyHistogram {
 }
 
 impl OccupancyHistogram {
-    /// Build from per-event issue cycles (`exec == 0` marks ignored events).
-    pub fn from_exec_cycles(exec: &[u64], done: &[u64]) -> Self {
-        let cycles = done.iter().copied().max().unwrap_or(0);
-        let max_exec = exec.iter().copied().max().unwrap_or(0);
-        let mut per_cycle = vec![0u64; max_exec as usize + 1];
-        let mut instrs = 0u64;
-        for &e in exec {
-            if e != 0 {
-                per_cycle[e as usize] += 1;
-                instrs += 1;
-            }
-        }
-        let mut by_bucket: Vec<(u64, u64, u64)> = Vec::new();
-        let mut busy_cycles = 0u64;
-        let mut peak = 0u64;
-        for &width in per_cycle.iter().skip(1) {
-            if width == 0 {
-                continue;
-            }
-            busy_cycles += 1;
-            peak = peak.max(width);
-            let low = 1u64 << (63 - width.leading_zeros());
-            match by_bucket.binary_search_by_key(&low, |b| b.0) {
-                Ok(i) => {
-                    by_bucket[i].1 += 1;
-                    by_bucket[i].2 += width;
-                }
-                Err(i) => by_bucket.insert(i, (low, 1, width)),
-            }
-        }
-        OccupancyHistogram {
-            buckets: by_bucket
-                .into_iter()
-                .map(|(width_low, cycles, instrs)| OccupancyBucket {
-                    width_low,
-                    cycles,
-                    instrs,
-                })
-                .collect(),
-            cycles,
-            busy_cycles,
-            instrs,
-            peak,
-        }
-    }
-
     /// Mean occupancy over critical-path cycles = parallelism.
     pub fn mean(&self) -> f64 {
         if self.cycles == 0 {
@@ -424,20 +429,6 @@ pub struct FlowCounters {
 }
 
 impl FlowCounters {
-    fn from_edges(exec: &[u64], edge_kind: &[u8]) -> Self {
-        let mut flow = FlowCounters::default();
-        for (&e, &code) in exec.iter().zip(edge_kind) {
-            if e == 0 {
-                continue;
-            }
-            match EdgeKind::from_code(code) {
-                Some(kind) => flow.by_kind[kind.index()] += 1,
-                None => flow.unconstrained += 1,
-            }
-        }
-        flow
-    }
-
     /// Instructions stalled by a control-flow constraint of either kind —
     /// the run's "flow break" count.
     pub fn control_bound(&self) -> u64 {
@@ -755,6 +746,97 @@ mod tests {
         assert_eq!(m.flow.by_kind, [0, 1, 0, 2]);
         assert_eq!(m.flow.control_bound(), 2);
         assert_eq!(m.flow.total(), m.instrs);
+    }
+
+    #[test]
+    fn tie_on_max_done_starts_the_chain_at_the_last_event() {
+        use EdgeKind::*;
+        // Events 1 and 2 both complete at cycle 2; the walk must start at
+        // event 2 (memory edge), not event 1 (register edge).
+        let sink = collect(&[
+            (1, 1, None),
+            (2, 2, Some(BindingEdge::new(RegData, 0))),
+            (2, 2, Some(BindingEdge::new(MemData, 0))),
+            (1, 1, None),
+        ]);
+        let m = sink.finish();
+        assert_eq!(m.cycles, 2);
+        assert_eq!(m.attribution.counts, [0, 1, 0, 0]);
+        assert_eq!(m.attribution.chain_len, 2);
+    }
+
+    #[test]
+    fn ignored_events_never_count() {
+        use EdgeKind::*;
+        // An ignored event carrying an edge and a completion time must
+        // not reach the instruction count, the histogram, the flow
+        // counters, the cycle count or the chain start.
+        let sink = collect(&[
+            (1, 1, None),
+            (0, 9, Some(BindingEdge::new(Control, 0))),
+            (0, 0, None),
+        ]);
+        assert_eq!(sink.len(), 3);
+        let m = sink.finish();
+        assert_eq!(m.instrs, 1);
+        assert_eq!(m.cycles, 1);
+        assert_eq!(m.occupancy.instrs, 1);
+        assert_eq!(m.occupancy.busy_cycles, 1);
+        assert_eq!(m.flow.total(), 1);
+        assert_eq!(m.flow.unconstrained, 1);
+        assert_eq!(m.attribution.chain_len, 1);
+        assert_eq!(m.attribution.terminators, 1);
+    }
+
+    #[test]
+    fn widths_fall_into_their_power_of_two_buckets() {
+        // Cycle c issues widths[c - 1] instructions.
+        let widths = [1u64, 2, 3, 4, 7, 8, 1024];
+        let mut schedule = Vec::new();
+        for (c, &w) in widths.iter().enumerate() {
+            for _ in 0..w {
+                schedule.push((c as u64 + 1, c as u64 + 1, None));
+            }
+        }
+        let m = collect(&schedule).finish();
+        let bucket = |width_low, cycles, instrs| OccupancyBucket {
+            width_low,
+            cycles,
+            instrs,
+        };
+        assert_eq!(
+            m.occupancy.buckets,
+            vec![
+                bucket(1, 1, 1),
+                bucket(2, 2, 2 + 3),
+                bucket(4, 2, 4 + 7),
+                bucket(8, 1, 8),
+                bucket(1024, 1, 1024),
+            ]
+        );
+        assert_eq!(m.occupancy.peak, 1024);
+        assert_eq!(m.occupancy.busy_cycles, widths.len() as u64);
+        assert_eq!(m.occupancy.instrs, widths.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn empty_schedule_gives_the_defaults() {
+        for sink in [
+            MetricsCollector::new(),
+            collect(&[(0, 0, None), (0, 0, None)]),
+        ] {
+            let m = sink.finish();
+            assert_eq!(m.instrs, 0);
+            assert_eq!(m.cycles, 0);
+            assert_eq!(m.parallelism(), 0.0);
+            assert!(m.occupancy.buckets.is_empty());
+            assert_eq!(m.occupancy.cycles, 0);
+            assert_eq!(m.occupancy.busy_cycles, 0);
+            assert_eq!(m.occupancy.instrs, 0);
+            assert_eq!(m.occupancy.peak, 0);
+            assert_eq!(m.attribution, CriticalPathAttribution::default());
+            assert_eq!(m.flow, FlowCounters::default());
+        }
     }
 
     #[test]
